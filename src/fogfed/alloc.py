@@ -13,17 +13,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .dist import (
+# shift, central_ci, prob_on_time and mean are not called here any more
+# (``Completion.at`` reproduces them); they stay importable from this module
+# because perfbench/traced.py times them under these names.
+from .dist import (  # noqa: F401
     CiInterval,
+    LatencyPmf,
     central_ci,
+    ci_bins,
     ci_disjoint,
     convolve,
     mean,
     prob_on_time,
+    prob_on_time_at,
     shift,
 )
 from .federation import EtcMatrix, EttMatrix, FederationTopology, hop_distance
-from .model import WorkflowSpec, topological_order
+from .model import WorkflowSpec
 from .partition import EtcSuccessEstimator, PartitionPlan
 
 REASONS = (
@@ -80,50 +86,98 @@ class AllocationDecision:
             raise ValueError(f"unknown reason {self.reason!r}")
 
 
-class CompletionModel:
-    """Caches load-independent completion PMFs.
+class Completion:
+    """Load-independent facts of one base completion PMF at one CI level.
 
-    Chain PMFs, end-to-end (chain plus transfer) PMFs, and mean sums are
-    all memoized, so per-decision work reduces to a queue shift and a few
-    CDF lookups.
+    A queue wait only moves a PMF's grid origin, so the on-time probability,
+    confidence interval and mean of the shifted PMF follow from the base's
+    origin, width, CDF, CI bin indices and mean by offset arithmetic.
+    """
+
+    __slots__ = ("origin", "width", "cdf", "lo", "hi", "level", "mean")
+
+    def __init__(self, d: LatencyPmf, level: float):
+        self.origin = d.origin
+        self.width = d.bin_width
+        self.cdf = d.cdf_list
+        self.lo, self.hi = ci_bins(d, level)
+        self.level = level
+        self.mean = d.mean
+
+    def at(self, wait: float, deadline: float) -> tuple[float, CiInterval, float]:
+        """(p, CI, mean) of the base PMF shifted by ``wait`` (see ``shift``).
+
+        p and the CI bounds equal ``prob_on_time``/``central_ci`` of the
+        shifted PMF bit for bit; the mean agrees to float rounding.
+        """
+        w = self.width
+        k = round(wait / w)
+        o = self.origin + k * w
+        p = prob_on_time_at(self.cdf, o, w, deadline)
+        ci = CiInterval(o + w * self.lo, o + w * self.hi, self.level)
+        return p, ci, self.mean + k * w
+
+
+class CompletionModel:
+    """The one cache of load-independent completion facts per context.
+
+    Entries live in a single dict under three key shapes:
+
+    - ``(types, fog, hops, ci_level)``: a ``Completion`` of the end-to-end
+      PMF (the chain on ``fog`` plus, for ``hops > 0``, the entry payload
+      transfer), which ``allocate_mr`` evaluates per queue wait without
+      building a shifted PMF;
+    - ``(types, fog, hops)``: that end-to-end PMF itself, for ``hops > 0``;
+    - ``(types, fog)``: the sum of the chain's per-type mean exec times.
+
+    Nothing is keyed by queue wait or request, so the cache is bounded by
+    the partitions, fogs and hop counts a context can see.  Chain PMFs come
+    from the partitioner's ``EtcSuccessEstimator``, shared with plan builds.
     """
 
     def __init__(self, etc: EtcMatrix, ett: "EttMatrix | None" = None):
         self.etc = etc
         self.ett = ett
         self.estimator = EtcSuccessEstimator(etc)
-        self._e2e: dict = {}
-        self._mean_sums: dict = {}
+        self._cache: dict = {}
 
-    def chain(self, types: tuple[str, ...], fog_id: int):
+    def chain(self, types: tuple[str, ...], fog_id: int) -> LatencyPmf:
         return self.estimator.chain_pmf(types, fog_id)
 
-    def end_to_end(self, types: tuple[str, ...], fog_id: int, hops: int):
+    def end_to_end(
+        self, types: tuple[str, ...], fog_id: int, hops: int
+    ) -> LatencyPmf:
         """Chain on ``fog_id`` plus the entry payload transfer over ``hops``."""
         if hops == 0:
             return self.chain(types, fog_id)
         if self.ett is None:
             raise ValueError("transfer matrix required for remote estimates")
         key = (types, fog_id, hops)
-        hit = self._e2e.get(key)
+        hit = self._cache.get(key)
         if hit is None:
             hit = convolve(
                 self.chain(types, fog_id), self.ett.pmf(types[0], hops)
             )
-            self._e2e[key] = hit
+            self._cache[key] = hit
+        return hit
+
+    def completion(
+        self, types: tuple[str, ...], fog_id: int, hops: int, ci_level: float
+    ) -> Completion:
+        key = (types, fog_id, hops, ci_level)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = Completion(self.end_to_end(types, fog_id, hops), ci_level)
+            self._cache[key] = hit
         return hit
 
     def mean_exec_sum(self, types: tuple[str, ...], fog_id: int) -> float:
         key = (types, fog_id)
-        hit = self._mean_sums.get(key)
+        hit = self._cache.get(key)
         if hit is None:
             hit = sum(self.etc.pmf(t, fog_id).mean for t in types)
-            self._mean_sums[key] = hit
+            self._cache[key] = hit
         return hit
-
-
-def _unit_types(unit: WorkflowSpec) -> tuple[str, ...]:
-    return tuple(topological_order(unit))
 
 
 def allocate_mr(
@@ -153,69 +207,51 @@ def allocate_mr(
     origin = local
     for idx, part in enumerate(plan.partitions):
         delta = deadlines_rel[idx]
-        types = _unit_types(part)
+        types = part.topo_order
+        p_r, ci_r, mean_r = m.completion(types, local, 0, ci_level).at(
+            queues.wait(local), delta
+        )
+        local_rec = CandidateRecord(
+            fog=local, hops=0, mean_ms=mean_r, p=p_r, ci=ci_r
+        )
         if plan.must_run_local[idx]:
-            e_r = shift(m.chain(types, local), queues.wait(local))
-            rec = CandidateRecord(
-                fog=local,
-                hops=0,
-                mean_ms=mean(e_r),
-                p=prob_on_time(e_r, delta),
-                ci=central_ci(e_r, ci_level),
-            )
             decisions.append(
                 AllocationDecision(
-                    "mr", idx, local, local, "forced_local_pinned", (rec,)
+                    "mr", idx, local, local, "forced_local_pinned", (local_rec,)
                 )
             )
             origin = local
             continue
-        e_r = shift(m.chain(types, local), queues.wait(local))
-        p_r = prob_on_time(e_r, delta)
-        ci_r = central_ci(e_r, ci_level)
-        local_rec = CandidateRecord(
-            fog=local, hops=0, mean_ms=mean(e_r), p=p_r, ci=ci_r
-        )
-        neighbors = topo.neighbors(local)
-        remote_info = []
-        for g in neighbors:
+        remotes = []
+        for g in topo.neighbors(local):
             hops = hop_distance(topo, origin, g)
-            e_g = shift(m.end_to_end(types, g, hops), queues.wait(g))
-            p_g = prob_on_time(e_g, delta)
-            remote_info.append(
-                {
-                    "fog": g,
-                    "hops": hops,
-                    "mean": mean(e_g),
-                    "p": p_g,
-                    "ci": central_ci(e_g, ci_level),
-                    "in_f": p_g > p_r,
-                    "blocked": False,
-                }
+            p_g, ci_g, mean_g = m.completion(types, g, hops, ci_level).at(
+                queues.wait(g), delta
             )
+            remotes.append((g, hops, mean_g, p_g, ci_g))
         chosen = local
-        reason = "local_default" if not neighbors else "local_higher_p"
+        reason = "local_default" if not remotes else "local_higher_p"
+        blocked = set()
         f_ordered = sorted(
-            (r for r in remote_info if r["in_f"]),
-            key=lambda r: (-r["p"], r["fog"]),
+            (r for r in remotes if r[3] > p_r), key=lambda r: (-r[3], r[0])
         )
-        for r in f_ordered:
-            if ci_disjoint(r["ci"], ci_r):
-                chosen = r["fog"]
+        for g, _hops, _mean, _p, ci_g in f_ordered:
+            if ci_disjoint(ci_g, ci_r):
+                chosen = g
                 reason = "remote_ci_disjoint"
                 break
-            r["blocked"] = True
+            blocked.add(g)
         records = [local_rec] + [
             CandidateRecord(
-                fog=r["fog"],
-                hops=r["hops"],
-                mean_ms=r["mean"],
-                p=r["p"],
-                ci=r["ci"],
-                in_f=r["in_f"],
-                blocked=r["blocked"],
+                fog=g,
+                hops=hops,
+                mean_ms=mean_g,
+                p=p_g,
+                ci=ci_g,
+                in_f=p_g > p_r,
+                blocked=g in blocked,
             )
-            for r in remote_info
+            for g, hops, mean_g, p_g, ci_g in remotes
         ]
         decisions.append(
             AllocationDecision("mr", idx, local, chosen, reason, tuple(records))
@@ -241,7 +277,7 @@ def allocate_mect(
     then the lower fog id.
     """
     m = model if model is not None else CompletionModel(etc)
-    types = _unit_types(unit)
+    types = unit.topo_order
     if pinned:
         rec = CandidateRecord(
             fog=local,
@@ -288,7 +324,7 @@ def allocate_mcc(
     then the lower fog id.
     """
     m = model if model is not None else CompletionModel(etc)
-    types = _unit_types(unit)
+    types = unit.topo_order
     if pinned:
         exec_ms = m.mean_exec_sum(types, local)
         rec = CandidateRecord(
@@ -343,7 +379,7 @@ def allocate_no_federation(
     if etc is not None or model is not None:
         m = model if model is not None else CompletionModel(etc)
         wait = queues.wait(local) if queues is not None else 0.0
-        ms = wait + m.mean_exec_sum(_unit_types(unit), local)
+        ms = wait + m.mean_exec_sum(unit.topo_order, local)
     rec = CandidateRecord(fog=local, hops=0, mean_ms=ms)
     return AllocationDecision(
         "nofed", partition_index, local, local, "local_default", (rec,)

@@ -560,7 +560,12 @@ def write_aggregate_csv(path: str, rows: list[dict]) -> None:
 def _default_parallel() -> int:
     env = os.environ.get(PARALLEL_ENV)
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(
+                f"{PARALLEL_ENV} must be an integer, got {env!r}"
+            ) from None
     return os.cpu_count() or 1
 
 
@@ -572,7 +577,11 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    parallel = args.parallel if args.parallel else _default_parallel()
+    try:
+        parallel = args.parallel if args.parallel else _default_parallel()
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     reports, trace_records = run_sweep(scenario, parallel, args.trace)
     write_csv(args.out, reports)
     if args.trace:

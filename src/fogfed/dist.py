@@ -13,11 +13,12 @@ a new object sharing the underlying mass array.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 # Tolerance for "mass sums to one" checks.  Construction renormalises, so
 # anything beyond float accumulation noise indicates a real bug.
@@ -96,6 +97,9 @@ class LatencyPmf:
         if float(arr.min()) < 0.0:
             raise ValueError("mass entries must be non-negative")
         object.__setattr__(self, "mass", arr)
+        # Plain floats, so grid arithmetic in Python matches ``centers``.
+        object.__setattr__(self, "bin_width", float(self.bin_width))
+        object.__setattr__(self, "origin", float(self.origin))
 
     # cached_property stores straight into __dict__, so it works on a frozen
     # dataclass; the arrays themselves are read-only.
@@ -110,6 +114,11 @@ class LatencyPmf:
         c = np.cumsum(self.mass)
         c.setflags(write=False)
         return c
+
+    @cached_property
+    def cdf_list(self) -> list[float]:
+        """``cdf`` as a Python list, for scalar bisection and indexing."""
+        return self.cdf.tolist()
 
     @cached_property
     def mean(self) -> float:
@@ -163,7 +172,7 @@ def pmf_from_normal(
     # clamped so negative latencies never receive mass.
     edges = (np.arange(k_lo, k_hi + 2) - 0.5) * bin_width
     np.clip(edges, 0.0, None, out=edges)
-    cdf = norm.cdf(edges, loc=spec.mean, scale=spec.std)
+    cdf = ndtr((edges - spec.mean) / spec.std)
     mass = np.diff(cdf)
     np.clip(mass, 0.0, None, out=mass)
     total = mass.sum()
@@ -203,35 +212,55 @@ def convolve_chain(parts: "list[LatencyPmf] | tuple[LatencyPmf, ...]") -> Latenc
     return acc
 
 
-def prob_on_time(d: LatencyPmf, deadline: float) -> float:
-    """P(latency <= deadline): total mass of bins whose centre <= deadline."""
+def prob_on_time_at(
+    cdf, origin: float, bin_width: float, deadline: float
+) -> float:
+    """``prob_on_time`` of the grid whose first bin centre is ``origin``.
+
+    ``cdf`` is any indexable CDF sequence; a shifted distribution differs
+    from its base only in ``origin``, so callers holding the base CDF can
+    evaluate a shift without building it.
+    """
     # Nudge by a relative epsilon so a deadline sitting exactly on a bin
     # centre includes that bin despite float division error.
-    pos = (deadline - d.origin) / d.bin_width
+    pos = (deadline - origin) / bin_width
     count = math.floor(pos + 1e-9) + 1
     if count <= 0:
         return 0.0
-    if count >= d.mass.size:
+    if count >= len(cdf):
         return 1.0
-    return float(d.cdf[count - 1])
+    return float(cdf[count - 1])
+
+
+def prob_on_time(d: LatencyPmf, deadline: float) -> float:
+    """P(latency <= deadline): total mass of bins whose centre <= deadline."""
+    return prob_on_time_at(d.cdf, d.origin, d.bin_width, deadline)
+
+
+def _quantile_bin(d: LatencyPmf, p: float) -> int:
+    idx = int(np.searchsorted(d.cdf, p, side="left"))
+    return min(idx, d.mass.size - 1)
 
 
 def quantile(d: LatencyPmf, p: float) -> float:
     """Smallest bin centre whose CDF reaches ``p`` (right-continuous inverse)."""
     if not 0 <= p <= 1:
         raise ValueError(f"quantile level must lie in [0, 1], got {p}")
-    idx = int(np.searchsorted(d.cdf, p, side="left"))
-    if idx >= d.mass.size:
-        idx = d.mass.size - 1
-    return float(d.centers[idx])
+    return float(d.centers[_quantile_bin(d, p)])
+
+
+def ci_bins(d: LatencyPmf, level: float = 0.95) -> tuple[int, int]:
+    """Bin indices of the ``central_ci`` bounds; a shift leaves them fixed."""
+    if not 0 < level < 1:
+        raise ValueError(f"CI level must lie in (0, 1), got {level}")
+    tail = (1.0 - level) / 2.0
+    return _quantile_bin(d, tail), _quantile_bin(d, 1.0 - tail)
 
 
 def central_ci(d: LatencyPmf, level: float = 0.95) -> CiInterval:
     """Central ``level`` probability interval via grid quantiles."""
-    if not 0 < level < 1:
-        raise ValueError(f"CI level must lie in (0, 1), got {level}")
-    tail = (1.0 - level) / 2.0
-    return CiInterval(quantile(d, tail), quantile(d, 1.0 - tail), level)
+    lo, hi = ci_bins(d, level)
+    return CiInterval(float(d.centers[lo]), float(d.centers[hi]), level)
 
 
 def ci_disjoint(a: CiInterval, b: CiInterval) -> bool:
@@ -257,14 +286,15 @@ def sample(d: LatencyPmf, rng: np.random.Generator, size: "int | None" = None):
     """Draw bin centres with probability equal to their mass.
 
     Returns a float for ``size=None``, else an ndarray of length ``size``.
+    Both paths consume the same uniform draws and pick the same bins.
     """
+    if size is None:
+        idx = bisect_left(d.cdf_list, rng.random())
+        return d.origin + d.bin_width * min(idx, d.mass.size - 1)
     u = rng.random(size)
     idx = np.searchsorted(d.cdf, u, side="left")
     idx = np.minimum(idx, d.mass.size - 1)
-    picked = d.centers[idx]
-    if size is None:
-        return float(picked)
-    return picked
+    return d.centers[idx]
 
 
 def mean(d: LatencyPmf) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .dist import NormalSpec
 
@@ -85,6 +86,11 @@ class WorkflowSpec:
         issues = structural_issues(self.vertices, self.edges)
         if issues:
             raise ValueError("invalid workflow: " + "; ".join(issues))
+
+    @cached_property
+    def topo_order(self) -> tuple[str, ...]:
+        """``topological_order`` of this spec, computed once per instance."""
+        return tuple(topological_order(self))
 
     def vertex(self, vid: str) -> MicroServiceSpec:
         for v in self.vertices:

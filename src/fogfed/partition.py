@@ -131,7 +131,10 @@ def min_cut(
         )
     )
     weight = sum(weights[e] for e in cut_edges)
-    assert math.isclose(weight, cut_value, rel_tol=1e-9, abs_tol=1e-9)
+    if not math.isclose(weight, cut_value, rel_tol=1e-9, abs_tol=1e-9):
+        raise RuntimeError(
+            f"cut weight {weight} differs from max-flow value {cut_value}"
+        )
     return CutResult(side_s, side_t, cut_edges, weight)
 
 
@@ -182,7 +185,8 @@ def _prefix_fallback(
         weight = sum(weights[e] for e in cut_edges)
         if best is None or weight < best.cut_weight:
             best = CutResult(side_s, side_t, cut_edges, weight)
-    assert best is not None
+    if best is None:
+        raise ValueError("workflow has no ancestor-closed prefix cut")
     return best
 
 
@@ -286,7 +290,8 @@ def baseline_least_data(w: WorkflowSpec) -> PartitionPlan:
             continue
         if crossing < best_mb:
             best_k, best_mb = k, crossing
-    assert best_k is not None
+    if best_k is None:
+        raise ValueError("workflow has no ancestor-closed prefix cut")
     parts = (
         w.induced(frozenset(order[:best_k])),
         w.induced(frozenset(order[best_k:])),
@@ -321,7 +326,7 @@ def propart(
         vid: dl - request.arrival_ms
         for vid, dl in request.per_service_deadlines.items()
     }
-    types = tuple(topological_order(w))
+    types = w.topo_order
     delta = request.workflow_deadline - request.arrival_ms
     root_p = est.prob_on_fog(types, delta, request.origin_fog)
     if root_p >= cfg.alpha or len(w.vertices) == 1:

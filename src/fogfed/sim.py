@@ -170,6 +170,34 @@ def partition_deadlines(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class _Wiring:
+    """How one plan's requests instantiate: the same for every request.
+
+    ``vertices`` holds, in spec order, each vertex's id, partition index,
+    predecessor count and sorted successors.
+    """
+
+    vertices: tuple[tuple[str, int, int, tuple[str, ...]], ...]
+    exits: int
+
+
+def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
+    part_of = {
+        v.id: i for i, p in enumerate(plan.partitions) for v in p.vertices
+    }
+    n_preds = {v.id: 0 for v in spec.vertices}
+    for e in spec.edges:
+        n_preds[e.dst] += 1
+    return _Wiring(
+        tuple(
+            (v.id, part_of[v.id], n_preds[v.id], tuple(spec.successors(v.id)))
+            for v in spec.vertices
+        ),
+        len(spec.exits()),
+    )
+
+
 @dataclass(eq=False)
 class _Instance:
     request: Request
@@ -177,6 +205,7 @@ class _Instance:
     fog: int
     mean_ms: float
     missing: int
+    successors: tuple[str, ...]
 
 
 @dataclass(eq=False)
@@ -205,9 +234,15 @@ class _Engine:
             f.id: _FogRuntime(busy_until=[None] * f.node_count)
             for f in cfg.topo.fogs
         }
-        # keyed (partition config, workflow shape, origin); shareable across
-        # runs because plans depend only on load-independent inputs
+        # (plan, wiring) keyed (partition config, workflow shape, origin);
+        # shareable across runs because plans depend only on load-independent
+        # inputs
         self._plans = plan_cache if plan_cache is not None else {}
+        # (id(spec), origin) -> (spec, (plan, wiring)): spares hashing the
+        # whole spec per request; holding the spec keeps its id unique
+        self._plan_of: dict[tuple[int, int], tuple] = {}
+        # gateway -> (fog id, runtime) of the fogs its allocators read
+        self._watched: dict[int, list] = {}
         self._validated: set = set()
         self._heap: list = []
         self._seq = 0
@@ -225,22 +260,33 @@ class _Engine:
         heapq.heappush(self._heap, (time, self._seq, kind, payload))
         self._seq += 1
 
-    def _queue_snapshot(self) -> QueueEstimate:
+    def _queue_snapshot(self, gateway: int) -> QueueEstimate:
+        """Expected waits on the gateway and its neighbours.
+
+        Those are the only fogs an allocator reads.  A busy node's ``u`` is
+        never before now, since its completion event is still queued.
+        """
+        watched = self._watched.get(gateway)
+        if watched is None:
+            fogs = (gateway, *self.cfg.topo.neighbors(gateway))
+            watched = [(fid, self.runtimes[fid]) for fid in fogs]
+            self._watched[gateway] = watched
+        now = self._now
         waits = {}
-        for fid, rt in self.runtimes.items():
-            running = sum(
-                max(0.0, u - self._now)
-                for u in rt.busy_until
-                if u is not None
-            )
+        for fid, rt in watched:
+            running = sum(u - now for u in rt.busy_until if u is not None)
             backlog = rt.pending_mean_ms + running
             waits[fid] = backlog / len(rt.busy_until)
         return QueueEstimate(waits)
 
-    def _plan_for(self, request: Request) -> PartitionPlan:
+    def _plan_for(self, request: Request) -> tuple[PartitionPlan, _Wiring]:
+        memo = (id(request.spec), request.origin_fog)
+        seen = self._plan_of.get(memo)
+        if seen is not None:
+            return seen[1]
         key = (self.cfg.partition_cfg, request.spec, request.origin_fog)
-        plan = self._plans.get(key)
-        if plan is None:
+        hit = self._plans.get(key)
+        if hit is None:
             plan = build_plan(
                 self.cfg.partition_cfg,
                 request.spec,
@@ -248,16 +294,18 @@ class _Engine:
                 request=request,
                 estimator=self.model.estimator,
             )
-            self._plans[key] = plan
+            hit = (plan, _wiring(plan, request.spec))
+            self._plans[key] = hit
         if key not in self._validated:
-            self.plan_violations += len(validate_plan(plan, request.spec))
+            self.plan_violations += len(validate_plan(hit[0], request.spec))
             self._validated.add(key)
-        return plan
+        self._plan_of[memo] = (request.spec, hit)
+        return hit
 
     def _allocate(
         self, plan: PartitionPlan, request: Request
     ) -> list[AllocationDecision]:
-        queues = self._queue_snapshot()
+        queues = self._queue_snapshot(request.origin_fog)
         deadlines = partition_deadlines(plan, request)
         origin = request.origin_fog
         if self.cfg.alloc_method == "mr":
@@ -319,37 +367,28 @@ class _Engine:
     # --------------------------------------------------------------- events
 
     def _on_arrival(self, request: Request) -> None:
-        plan = self._plan_for(request)
+        plan, wiring = self._plan_for(request)
         decisions = self._allocate(plan, request)
-        spec = request.spec
-        fog_of: dict[str, int] = {}
-        for part, decision in zip(plan.partitions, decisions):
-            for v in part.vertices:
-                fog_of[v.id] = decision.chosen
-        preds: dict[str, list[str]] = {v.id: [] for v in spec.vertices}
-        for e in spec.edges:
-            preds[e.dst].append(e.src)
-        self._exits_left[request.id] = len(spec.exits())
-        for v in spec.vertices:
-            fog = fog_of[v.id]
-            missing = len(preds[v.id])
-            entry_needs_transfer = not preds[v.id] and fog != request.origin_fog
-            if entry_needs_transfer:
-                missing += 1
+        origin = request.origin_fog
+        self._exits_left[request.id] = wiring.exits
+        for vid, part_idx, n_preds, successors in wiring.vertices:
+            fog = decisions[part_idx].chosen
+            entry_needs_transfer = n_preds == 0 and fog != origin
             inst = _Instance(
                 request=request,
-                vertex_id=v.id,
+                vertex_id=vid,
                 fog=fog,
-                mean_ms=self.cfg.etc.pmf(v.id, fog).mean,
-                missing=missing,
+                mean_ms=self.cfg.etc.pmf(vid, fog).mean,
+                missing=n_preds + int(entry_needs_transfer),
+                successors=successors,
             )
-            self._instances[(request.id, v.id)] = inst
+            self._instances[(request.id, vid)] = inst
             self.runtimes[fog].pending_mean_ms += inst.mean_ms
             if entry_needs_transfer:
-                hops = hop_distance(self.cfg.topo, request.origin_fog, fog)
-                dur = sample(self.cfg.ett.pmf(v.id, hops), self.rng)
+                hops = hop_distance(self.cfg.topo, origin, fog)
+                dur = sample(self.cfg.ett.pmf(vid, hops), self.rng)
                 self._push(self._now + dur, _TRANSFER, inst)
-            elif missing == 0:
+            elif n_preds == 0:
                 self._enqueue(inst)
 
     def _on_transfer(self, inst: _Instance) -> None:
@@ -358,7 +397,11 @@ class _Engine:
             self._enqueue(inst)
 
     def _enqueue(self, inst: _Instance) -> None:
-        assert inst.missing == 0
+        if inst.missing != 0:
+            raise RuntimeError(
+                f"instance {inst.vertex_id!r} of request {inst.request.id} "
+                f"enqueued with {inst.missing} inputs missing"
+            )
         rt = self.runtimes[inst.fog]
         rt.queue.append(inst)
         self._dispatch(inst.fog)
@@ -373,7 +416,8 @@ class _Engine:
             inst = rt.queue.popleft()
             dur = sample(self.cfg.etc.pmf(inst.vertex_id, fog), self.rng)
             until = self._now + dur
-            assert rt.busy_until[node] is None
+            if rt.busy_until[node] is not None:
+                raise RuntimeError(f"fog {fog} node {node} dispatched twice")
             rt.busy_until[node] = until
             rt.pending_mean_ms = max(0.0, rt.pending_mean_ms - inst.mean_ms)
             self._push(until, _EXEC_DONE, (fog, node, inst))
@@ -382,13 +426,11 @@ class _Engine:
         rt = self.runtimes[fog]
         rt.busy_until[node] = None
         request = inst.request
-        spec = request.spec
-        successors = spec.successors(inst.vertex_id)
-        if not successors:
+        if not inst.successors:
             self._exits_left[request.id] -= 1
             if self._exits_left[request.id] == 0:
                 self._completions[request.id] = self._now
-        for succ in successors:
+        for succ in inst.successors:
             nxt = self._instances[(request.id, succ)]
             if nxt.fog == fog:
                 nxt.missing -= 1
@@ -408,7 +450,10 @@ class _Engine:
         last = -math.inf
         while self._heap:
             time, _, kind, payload = heapq.heappop(self._heap)
-            assert time >= last
+            if time < last:
+                raise RuntimeError(
+                    f"event at {time} ms popped after one at {last} ms"
+                )
             last = self._now = time
             if kind == _ARRIVAL:
                 self._on_arrival(payload)

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogfed.alloc import (
     AllocationDecision,
     CandidateRecord,
+    Completion,
     CompletionModel,
     QueueEstimate,
     allocate_mcc,
@@ -15,6 +18,7 @@ from fogfed.alloc import (
     validate_mr_decision,
 )
 from fogfed.dist import (
+    LatencyPmf,
     NormalSpec,
     central_ci,
     ci_disjoint,
@@ -350,3 +354,35 @@ def test_completion_model_caches():
     again = m.end_to_end(("a", "b"), 0, 1)
     assert first is again
     assert m.mean_exec_sum(("a", "b"), 0) == pytest.approx(30.0)
+    facts = m.completion(("a", "b"), 0, 1, 0.95)
+    assert facts is m.completion(("a", "b"), 0, 1, 0.95)
+    assert facts is not m.completion(("a", "b"), 0, 1, 0.9)
+    assert facts.mean == first.mean
+
+
+grid_pmfs = st.builds(
+    lambda width, k0, weights: LatencyPmf(
+        width, k0 * width, np.array(weights) / sum(weights)
+    ),
+    width=st.sampled_from([0.1, 0.25, 1.0, 2.0, 3.7]),
+    k0=st.integers(min_value=0, max_value=5000),
+    weights=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=60
+    ).filter(lambda ws: sum(ws) > 0.1),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid_pmfs,
+    st.floats(min_value=0.0, max_value=20_000.0),
+    st.floats(min_value=-100.0, max_value=30_000.0),
+    st.floats(min_value=0.01, max_value=0.99),
+)
+def test_completion_offsets_match_shifted_pmf(d, wait, deadline, level):
+    p, ci, mean_ms = Completion(d, level).at(wait, deadline)
+    ref = shift(d, wait)
+    assert p == prob_on_time(ref, deadline)
+    ref_ci = central_ci(ref, level)
+    assert (ci.lo, ci.hi, ci.level) == (ref_ci.lo, ref_ci.hi, ref_ci.level)
+    assert abs(mean_ms - ref.mean) <= 1e-9

@@ -203,6 +203,19 @@ def test_simulate_bad_config_exits_nonzero(tmp_path, capsys):
     assert "unknown config fields" in capsys.readouterr().err
 
 
+def test_simulate_rejects_non_integer_parallel_env(
+    tmp_path, capsys, monkeypatch
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config()))
+    out = tmp_path / "out.csv"
+    monkeypatch.setenv("FOGFED_PARALLEL", "abc")
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: FOGFED_PARALLEL must be an integer, got 'abc'\n"
+    assert not out.exists()
+
+
 def test_simulate_trace_writes_jsonl(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out.csv"

@@ -217,6 +217,43 @@ def test_sample_scalar_and_deterministic():
     assert a == b
 
 
+# arbitrary grids: odd widths and origins, zero-mass bins, single bins
+grid_pmfs = st.builds(
+    lambda width, k0, weights: LatencyPmf(
+        width, k0 * width, np.array(weights) / sum(weights)
+    ),
+    width=st.sampled_from([0.1, 0.25, 1.0, 2.0, 3.7]),
+    k0=st.integers(min_value=0, max_value=5000),
+    weights=st.lists(
+        st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=60
+    ).filter(lambda ws: sum(ws) > 0.1),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grid_pmfs, st.integers(min_value=0, max_value=2**32), st.integers(1, 40))
+def test_scalar_samples_equal_array_samples(d, seed, n):
+    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
+    scalars = [dist.sample(d, rng) for _ in range(n)]
+    batch = dist.sample(d, rng2, size=n)
+    assert all(isinstance(x, float) for x in scalars)
+    assert scalars == batch.tolist()
+
+
+def test_pmf_from_normal_matches_scipy_stats_norm_cdf():
+    from scipy.stats import norm
+
+    for mean, std, width in [(100.0, 20.0, 1.0), (10.0, 20.0, 1.0),
+                             (37.3, 0.8, 0.25), (2500.0, 900.0, 2.0)]:
+        d = dist.pmf_from_normal(NormalSpec(mean, std), width)
+        lo = max(0.0, mean - 4.0 * std)
+        k_lo = max(0, math.floor(lo / width))
+        k_hi = max(k_lo, math.ceil((mean + 4.0 * std) / width))
+        edges = np.clip((np.arange(k_lo, k_hi + 2) - 0.5) * width, 0.0, None)
+        mass = np.clip(np.diff(norm.cdf(edges, loc=mean, scale=std)), 0.0, None)
+        assert np.array_equal(d.mass, mass / mass.sum())
+
+
 # ---------------------------------------------------------- algebra properties
 
 normal_specs = st.builds(
