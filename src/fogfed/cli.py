@@ -12,6 +12,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -19,6 +20,8 @@ from dataclasses import dataclass, fields
 
 from .alloc import CompletionModel
 from .federation import (
+    MIPS_HI,
+    MIPS_LO,
     LinkProfile,
     build_etc,
     build_ett,
@@ -98,29 +101,108 @@ class Scenario:
     pin_entry: "bool | None" = None
 
     def __post_init__(self) -> None:
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be at least 1")
-        if not self.loads or any(l < 1 for l in self.loads):
-            raise ValueError("loads must be non-empty positive counts")
+        for name, (valid, what) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ValueError(f"{name} must be {what}, got {value!r}")
         axis = PARTITION_AXIS if self.compare == "partition" else ALLOC_AXIS
-        if self.compare not in ("partition", "alloc"):
-            raise ValueError(f"unknown compare axis {self.compare!r}")
-        if not self.methods:
-            raise ValueError("methods must be non-empty")
-        for m in self.methods:
-            if m not in axis:
+        _check_items(
+            "methods",
+            self.methods,
+            lambda m: isinstance(m, str) and m in axis,
+            f"the {self.compare} methods {sorted(axis)}",
+        )
+        _check_items(
+            "loads", self.loads, lambda n: _is_int(n) and n >= 1,
+            "integers >= 1",
+        )
+        _check_items(
+            "degrees",
+            self.degrees,
+            lambda d: _is_int(d) and d in DEGREE_GRIDS,
+            f"the degrees {sorted(DEGREE_GRIDS)}",
+            empty_ok=True,
+        )
+        if self.neighbor_mips is not None:
+            # the pins _build_context applies around a gateway of the
+            # largest degree the sweep can use
+            steps = _NEIGHBOR_STAGGER[: max(self.degrees, default=4)]
+            if not all(
+                _is_real(self.neighbor_mips)
+                and MIPS_LO <= self.neighbor_mips + step <= MIPS_HI
+                for step in steps
+            ):
                 raise ValueError(
-                    f"method {m!r} not valid for compare={self.compare!r}"
+                    f"neighbor_mips must be null or a rating whose staggered "
+                    f"pins {steps} stay in [{MIPS_LO:g}, {MIPS_HI:g}], got "
+                    f"{self.neighbor_mips!r}"
                 )
-        for d in self.degrees:
-            if d not in DEGREE_GRIDS:
-                raise ValueError(f"degree {d} outside {sorted(DEGREE_GRIDS)}")
-        if not 0.0 <= self.mix <= 1.0:
-            raise ValueError("mix must lie in [0, 1]")
-        if self.origin_mips is not None and self.origin_mips <= 0:
-            raise ValueError("origin_mips must be positive")
-        if self.neighbor_mips is not None and self.neighbor_mips <= 0:
-            raise ValueError("neighbor_mips must be positive")
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A finite int or float; bools and ints beyond float range are not."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _check_items(name, value, valid, what, empty_ok=False) -> None:
+    if (
+        not isinstance(value, tuple)
+        or not (value or empty_ok)
+        or not all(map(valid, value))
+    ):
+        size = "a" if empty_ok else "a non-empty"
+        raise ValueError(
+            f"{name} must be {size} list of {what}, got {value!r}"
+        )
+
+
+def _at_least(lo: int):
+    return (lambda v: _is_int(v) and v >= lo, f"an integer >= {lo}")
+
+
+_POSITIVE = (lambda v: _is_real(v) and v > 0, "a positive number")
+_NON_NEGATIVE = (lambda v: _is_real(v) and v >= 0, "a non-negative number")
+_UNIT = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
+
+# Scenario field -> (test, what a valid value is), for every scalar field
+_FIELD_RULES = {
+    "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
+    "compare": (
+        lambda v: v in ("partition", "alloc"), "'partition' or 'alloc'"
+    ),
+    "repetitions": _at_least(1),
+    "master_seed": _at_least(0),
+    "width": _at_least(1),
+    "height": _at_least(1),
+    "node_count": _at_least(1),
+    "bandwidth_mbps": _POSITIVE,
+    "hop_mean_ms": _POSITIVE,
+    "hop_std_ms": _NON_NEGATIVE,
+    "bin_width_ms": _POSITIVE,
+    "reference_mips": _POSITIVE,
+    "origin_mips": (
+        lambda v: v is None or _is_real(v) and MIPS_LO <= v <= MIPS_HI,
+        f"null or a rating in [{MIPS_LO:g}, {MIPS_HI:g}]",
+    ),
+    "mix": _UNIT,
+    "window_ms": _POSITIVE,
+    "epsilon_ms": _NON_NEGATIVE,
+    "comm_ms": _NON_NEGATIVE,
+    "alpha": _UNIT,
+    "ci_level": (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "pin_entry": (
+        lambda v: v is None or isinstance(v, bool), "null, true or false"
+    ),
+}
 
 
 # Workflow suites run against a lightly provisioned gateway so the local
@@ -180,6 +262,11 @@ SUITES: dict[str, dict] = {
 }
 
 _FIELD_NAMES = {f.name for f in fields(Scenario)}
+# config objects whose keys become Scenario fields
+_NESTED = {
+    "grid": ("width", "height"),
+    "link": ("bandwidth_mbps", "hop_mean_ms", "hop_std_ms"),
+}
 
 # Offsets applied to pinned neighbor ratings, in neighbor id order.  The
 # spread mirrors a typical uniform draw: mostly fast fogs plus one clearly
@@ -191,35 +278,39 @@ _NEIGHBOR_STAGGER = (0.0, -550.0, 50.0, -150.0)
 
 
 def scenario_from_config(doc: dict) -> Scenario:
-    """Build a scenario from a JSON document, optionally based on a suite."""
+    """Build a scenario from a JSON document, optionally based on a suite.
+
+    Every field is type- and range-checked here, so a bad document fails
+    with a ``ValueError`` before any run starts.
+    """
     if not isinstance(doc, dict):
         raise ValueError("config root must be a JSON object")
     doc = dict(doc)
     base: dict = {}
     suite = doc.pop("suite", None)
     if suite is not None:
-        if suite not in SUITES:
+        if not isinstance(suite, str) or suite not in SUITES:
             raise ValueError(
                 f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
             )
         base = dict(SUITES[suite])
         base["name"] = suite
-    grid = doc.pop("grid", None)
-    if grid is not None:
-        base["width"] = int(grid["width"])
-        base["height"] = int(grid["height"])
-    link = doc.pop("link", None)
-    if link is not None:
-        base["bandwidth_mbps"] = float(link["bandwidth_mbps"])
-        base["hop_mean_ms"] = float(link["hop_mean_ms"])
-        base["hop_std_ms"] = float(link["hop_std_ms"])
+    for key, names in _NESTED.items():
+        sub = doc.pop(key, None)
+        if sub is None:
+            continue
+        if not isinstance(sub, dict) or set(sub) != set(names):
+            raise ValueError(f"{key} must be an object with keys {names}")
+        base.update(sub)
     if "seed" in doc:
-        base["master_seed"] = int(doc.pop("seed"))
+        base["master_seed"] = doc.pop("seed")
     unknown = set(doc) - _FIELD_NAMES
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
     for key in ("methods", "loads", "degrees"):
         if key in doc:
+            if not isinstance(doc[key], list):
+                raise ValueError(f"{key} must be a list, got {doc[key]!r}")
             doc[key] = tuple(doc[key])
     base.update(doc)
     if "name" not in base:
@@ -578,6 +669,8 @@ def cmd_simulate(args) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     try:
+        if args.parallel < 0:
+            raise ValueError(f"--parallel must be >= 0, got {args.parallel}")
         parallel = args.parallel if args.parallel else _default_parallel()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -639,7 +732,7 @@ def main(argv=None) -> int:
         "--parallel",
         type=int,
         default=0,
-        help=f"worker processes (default: ${PARALLEL_ENV} or core count)",
+        help=f"worker processes; 0 means ${PARALLEL_ENV} or the core count",
     )
     p_sim.add_argument(
         "--trace",

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import ndtr
 
 # Tolerance for "mass sums to one" checks.  Construction renormalises, so
 # anything beyond float accumulation noise indicates a real bug.
@@ -146,6 +145,199 @@ def point_mass(value: float, bin_width: float) -> LatencyPmf:
     return LatencyPmf(bin_width, k * bin_width, np.ones(1))
 
 
+# ------------------------------------------------------------- normal CDF
+#
+# A port of the Cephes ``ndtr``/``erf``/``erfc`` (Moshier, Cephes Math
+# Library), the routine scipy.special.ndtr evaluates: the same branch
+# rules, the same rational approximations evaluated by Horner's rule, and
+# libm's ``exp``, so every bin mass matches scipy bit for bit.
+
+# erf(x) = x T(x^2) / U(x^2) for |x| <= 1; U has an implicit leading 1
+_ERF_T = (
+    9.60497373987051638749e0,
+    9.00260197203842689217e1,
+    2.23200534594684319226e3,
+    7.00332514112805075473e3,
+    5.55923013010394962768e4,
+)
+_ERF_U = (
+    3.35617141647503099647e1,
+    5.21357949780152679795e2,
+    4.59432382970980127987e3,
+    2.26290000613890934246e4,
+    4.92673942608635921086e4,
+)
+# erfc(x) = exp(-x^2) P(x) / Q(x) for 1 <= x < 8; Q has an implicit leading 1
+_ERFC_P = (
+    2.46196981473530512524e-10,
+    5.64189564831068821977e-1,
+    7.46321056442269912687e0,
+    4.86371970985681366614e1,
+    1.96520832956077098242e2,
+    5.26445194995477358631e2,
+    9.34528527171957607540e2,
+    1.02755188689515710272e3,
+    5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.32281951154744992508e1,
+    8.67072140885989742329e1,
+    3.54937778887819891062e2,
+    9.75708501743205489753e2,
+    1.82390916687909736289e3,
+    2.24633760818710981792e3,
+    1.65666309194161350182e3,
+    5.57535340817727675546e2,
+)
+# erfc(x) = exp(-x^2) R(x) / S(x) for x >= 8; S has an implicit leading 1
+_ERFC_R = (
+    5.64189583547755073984e-1,
+    1.27536670759978104416e0,
+    5.01905042251180477414e0,
+    6.16021097993053585195e0,
+    7.40974269950448939160e0,
+    2.97886665372100240670e0,
+)
+_ERFC_S = (
+    2.26052863220117276590e0,
+    9.39603524938001434673e0,
+    1.20489539808096656605e1,
+    1.70814450747565897222e1,
+    9.60896809063285878198e0,
+    3.36907645100081516050e0,
+)
+# log(DBL_MAX); Cephes takes exp(-x^2) below -_MAXLOG as an underflow to 0
+_MAXLOG = 7.09782712893383996843e2
+_SQRT1_2 = 7.07106781186547524401e-1
+
+
+def _polevl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """Horner's rule, ``coef`` highest power first."""
+    acc = x * coef[0]
+    acc += coef[1]
+    for c in coef[2:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _p1evl(x: np.ndarray, coef: tuple) -> np.ndarray:
+    """``_polevl`` with an implicit leading coefficient of 1."""
+    acc = x + coef[0]
+    for c in coef[1:]:
+        acc *= x
+        acc += c
+    return acc
+
+
+def _erf_small(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erf`` on |x| <= 1."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _p1evl(z, _ERF_U)
+
+
+def _erfc_pos(x: np.ndarray) -> np.ndarray:
+    """Cephes ``erfc`` on x >= 0 (NaN passes through)."""
+    out = np.zeros_like(x)
+    near = x < 1.0
+    out[near] = 1.0 - _erf_small(x[near])
+    far = ~near
+    xf = x[far]
+    with np.errstate(over="ignore"):  # -inf past |x| ~ 1e154, as in C
+        z = -xf * xf
+    live = ~(z < -_MAXLOG)
+    xl, zl = xf[live], z[live]
+    # libm's exp, as Cephes calls it: numpy's SIMD exp differs in the last
+    # bit on some inputs
+    e = np.fromiter(map(math.exp, zl.tolist()), np.float64, count=zl.size)
+    y = np.empty_like(xl)
+    mid = xl < 8.0
+    for part, num, den in ((mid, _ERFC_P, _ERFC_Q), (~mid, _ERFC_R, _ERFC_S)):
+        xp = xl[part]
+        y[part] = (e[part] * _polevl(xp, num)) / _p1evl(xp, den)
+    farv = np.zeros_like(xf)
+    farv[live] = y
+    out[far] = farv
+    return out
+
+
+def _ndtr(a: np.ndarray) -> np.ndarray:
+    """Standard normal CDF, elementwise; bit-equal to scipy.special.ndtr."""
+    x = np.asarray(a, dtype=np.float64) * _SQRT1_2
+    z = np.abs(x)
+    y = np.empty_like(x)
+    inner = z < _SQRT1_2
+    y[inner] = 0.5 + 0.5 * _erf_small(x[inner])
+    outer = ~inner
+    yo = 0.5 * _erfc_pos(z[outer])
+    upper = x[outer] > 0
+    yo[upper] = 1.0 - yo[upper]
+    y[outer] = yo
+    return y
+
+
+# ------------------------------------------------------------ normal binning
+
+
+def pmfs_from_normal(
+    specs: "list[NormalSpec] | tuple[NormalSpec, ...]",
+    bin_width: float,
+    truncation: float = 4.0,
+) -> list[LatencyPmf]:
+    """``pmf_from_normal`` of each spec, binned in one array pass.
+
+    All bin edges go through ``_ndtr`` together, so its per-call overhead
+    is paid once per batch; every step is elementwise, so each result
+    equals its one-spec counterpart array for array.
+    """
+    if not bin_width > 0:
+        raise ValueError(f"bin_width must be positive, got {bin_width}")
+    if not truncation > 0:
+        raise ValueError(f"truncation must be positive, got {truncation}")
+    out: list = [None] * len(specs)
+    binned = []  # (index into specs, first bin, edge count)
+    for i, spec in enumerate(specs):
+        # Stds far below the grid resolution are point masses; this also
+        # keeps subnormal floats out of the normal CDF evaluation.
+        if spec.std <= bin_width * 1e-9:
+            out[i] = point_mass(spec.mean, bin_width)
+            continue
+        lo = max(0.0, spec.mean - truncation * spec.std)
+        hi = spec.mean + truncation * spec.std
+        k_lo = max(0, math.floor(lo / bin_width))
+        k_hi = max(k_lo, math.ceil(hi / bin_width))
+        binned.append((i, k_lo, k_hi + 2 - k_lo))
+    if not binned:
+        return out
+    index, k_los, counts = (np.array(col) for col in zip(*binned))
+    starts = np.cumsum(counts) - counts
+    # Bin k covers [center - w/2, center + w/2]; the edge below zero is
+    # clamped so negative latencies never receive mass.
+    ks = np.arange(int(counts.sum())) + np.repeat(k_los - starts, counts)
+    edges = (ks - 0.5) * bin_width
+    np.clip(edges, 0.0, None, out=edges)
+    means = np.repeat([specs[i].mean for i in index.tolist()], counts)
+    stds = np.repeat([specs[i].std for i in index.tolist()], counts)
+    cdf = _ndtr((edges - means) / stds)
+    # mass[j] = cdf[j + 1] - cdf[j]; a spec's bins stop one short of its
+    # next spec's first edge
+    mass = cdf[1:] - cdf[:-1]
+    np.clip(mass, 0.0, None, out=mass)
+    for i, k_lo, start, n in zip(
+        index.tolist(), k_los.tolist(), starts.tolist(), counts.tolist()
+    ):
+        seg = mass[start:start + n - 1]
+        total = seg.sum()
+        if total <= 0.0:
+            # Entire truncation window collapsed onto one grid point.
+            out[i] = point_mass(specs[i].mean, bin_width)
+            continue
+        seg = seg / total
+        seg.setflags(write=False)
+        out[i] = LatencyPmf(bin_width, k_lo * bin_width, seg)
+    return out
+
+
 def pmf_from_normal(
     spec: NormalSpec, bin_width: float, truncation: float = 4.0
 ) -> LatencyPmf:
@@ -156,31 +348,7 @@ def pmf_from_normal(
     produce a slightly right-shifted discrete mean.  With std = 0 the result
     is a point mass at the grid point nearest the mean.
     """
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    if not truncation > 0:
-        raise ValueError(f"truncation must be positive, got {truncation}")
-    # Stds far below the grid resolution are point masses; this also keeps
-    # subnormal floats out of the normal CDF evaluation.
-    if spec.std <= bin_width * 1e-9:
-        return point_mass(spec.mean, bin_width)
-    lo = max(0.0, spec.mean - truncation * spec.std)
-    hi = spec.mean + truncation * spec.std
-    k_lo = max(0, math.floor(lo / bin_width))
-    k_hi = max(k_lo, math.ceil(hi / bin_width))
-    # Bin k covers [center - w/2, center + w/2]; the edge below zero is
-    # clamped so negative latencies never receive mass.
-    edges = (np.arange(k_lo, k_hi + 2) - 0.5) * bin_width
-    np.clip(edges, 0.0, None, out=edges)
-    cdf = ndtr((edges - spec.mean) / spec.std)
-    mass = np.diff(cdf)
-    np.clip(mass, 0.0, None, out=mass)
-    total = mass.sum()
-    if total <= 0.0:
-        # Entire truncation window collapsed onto one grid point.
-        return point_mass(spec.mean, bin_width)
-    mass /= total
-    return LatencyPmf(bin_width, k_lo * bin_width, mass)
+    return pmfs_from_normal((spec,), bin_width, truncation)[0]
 
 
 def _require_same_grid(a: LatencyPmf, b: LatencyPmf) -> None:

@@ -10,6 +10,7 @@ turns payload sizes into hop-indexed transfer latency PMFs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .dist import (
     NormalSpec,
     convolve,
     pmf_from_normal,
+    pmfs_from_normal,
     point_mass,
     shift,
 )
@@ -69,6 +71,17 @@ class FederationTopology:
     def fog_ids(self) -> range:
         return range(len(self.fogs))
 
+    # cached_property writes to __dict__, so it works on a frozen dataclass
+    @cached_property
+    def hops(self) -> dict[tuple[int, int], int]:
+        """Manhattan grid distance of every ordered fog pair."""
+        return {
+            (a.id, b.id): abs(a.grid_pos[0] - b.grid_pos[0])
+            + abs(a.grid_pos[1] - b.grid_pos[1])
+            for a in self.fogs
+            for b in self.fogs
+        }
+
 
 def build_grid(
     width: int,
@@ -112,10 +125,12 @@ def build_grid(
 
 def hop_distance(topo: FederationTopology, a: int, b: int) -> int:
     """Manhattan distance on the grid."""
-    fa, fb = topo.fog(a), topo.fog(b)
-    return abs(fa.grid_pos[0] - fb.grid_pos[0]) + abs(
-        fa.grid_pos[1] - fb.grid_pos[1]
-    )
+    try:
+        return topo.hops[(a, b)]
+    except KeyError:
+        topo.fog(a)
+        topo.fog(b)
+        raise
 
 
 def slowest_fog(topo: FederationTopology) -> int:
@@ -199,13 +214,13 @@ def build_etc(
     """Work in MI divided by fog speed gives latency in ms."""
     if not profiles:
         raise ValueError("profiles must be non-empty")
-    entries: dict[tuple[str, int], LatencyPmf] = {}
-    specs: dict[tuple[str, int], NormalSpec] = {}
-    for mtype, work in profiles.items():
-        for f in topo.fogs:
-            scaled = work.scaled(1000.0 / f.node_mips)
-            specs[(mtype, f.id)] = scaled
-            entries[(mtype, f.id)] = pmf_from_normal(scaled, bin_width)
+    specs = {
+        (mtype, f.id): work.scaled(1000.0 / f.node_mips)
+        for mtype, work in profiles.items()
+        for f in topo.fogs
+    }
+    pmfs = pmfs_from_normal(list(specs.values()), bin_width)
+    entries = dict(zip(specs, pmfs))
     return EtcMatrix(bin_width, entries, specs)
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import networkx as nx
-
 from .dist import LatencyPmf, convolve, prob_on_time
 from .federation import EtcMatrix
 from .model import Request, WorkflowSpec, topological_order
 
 _SOURCE = "__source__"
 _SINK = "__sink__"
+# residual capacity at or below this is saturated (float dust of a push)
+_RESIDUAL_TOL = 1e-12
 
 METHODS = ("no_partition", "min_cut", "least_data", "propart")
 
@@ -96,14 +96,21 @@ def min_cut(
     """Minimum-weight ancestor-closed bisection.
 
     Reverse infinite edges forbid cuts with back-edges, so the max-flow
-    min-cut equals the minimum over ancestor-closed bisections and the
-    residual-reachable source side is the inclusion-minimal optimum.
+    min-cut equals the minimum over ancestor-closed bisections.  The max
+    flow comes from Edmonds-Karp (shortest augmenting paths, Edmonds & Karp,
+    JACM 1972); the vertices its last, failed search reaches form the
+    inclusion-minimal optimum, whichever augmenting paths were taken.
     """
     if len(w.vertices) < 2:
         raise ValueError("cannot cut a single-vertex workflow")
-    g = nx.DiGraph()
-    for v in w.vertices:
-        g.add_node(v.id)
+    # residual[u][v]: capacity left on arc u -> v; every arc has its reverse
+    residual: dict[str, dict[str, float]] = {v.id: {} for v in w.vertices}
+    residual[_SOURCE], residual[_SINK] = {}, {}
+
+    def arc(u: str, v: str, cap: float) -> None:
+        residual[u][v] = residual[u].get(v, 0.0) + cap
+        residual[v].setdefault(u, 0.0)
+
     for e in w.edges:
         try:
             cap = weights[(e.src, e.dst)]
@@ -111,18 +118,35 @@ def min_cut(
             raise KeyError(f"no weight for edge ({e.src}, {e.dst})") from None
         if cap <= 0:
             raise ValueError(f"weight must be positive: ({e.src}, {e.dst})")
-        g.add_edge(e.src, e.dst, capacity=cap)
-        g.add_edge(e.dst, e.src, capacity=math.inf)
+        arc(e.src, e.dst, cap)
+        arc(e.dst, e.src, math.inf)
     for entry in w.entries():
-        g.add_edge(_SOURCE, entry, capacity=math.inf)
+        arc(_SOURCE, entry, math.inf)
     for exit_ in w.exits():
-        g.add_edge(exit_, _SINK, capacity=math.inf)
-    cut_value, flow = nx.maximum_flow(g, _SOURCE, _SINK)
-    reach = _residual_reachable(g, flow)
-    side_s = frozenset(reach - {_SOURCE})
+        arc(exit_, _SINK, math.inf)
+    cut_value = 0.0
+    while True:
+        parent = _bfs_tree(residual)
+        if _SINK not in parent:
+            break
+        path = []
+        v = _SINK
+        while v != _SOURCE:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        if push == math.inf:
+            raise ValueError("an entry-to-exit path has infinite capacity")
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        cut_value += push
+    side_s = frozenset(parent) - {_SOURCE}
     side_t = frozenset(v.id for v in w.vertices) - side_s
-    if _violates_closure(w, side_s):
-        return _prefix_fallback(w, weights)
+    if any(e.src not in side_s and e.dst in side_s for e in w.edges):
+        raise RuntimeError(
+            f"min-cut side {sorted(side_s)} is not ancestor-closed"
+        )
     cut_edges = tuple(
         sorted(
             (e.src, e.dst)
@@ -138,56 +162,18 @@ def min_cut(
     return CutResult(side_s, side_t, cut_edges, weight)
 
 
-def _residual_reachable(g: nx.DiGraph, flow: dict) -> set:
-    """Source side of the minimal min cut: BFS over net-flow residuals.
-
-    Net flow cancels any circulation the solver left behind, so the
-    reachable set is the inclusion-minimal optimum regardless of which
-    maximum flow was found.
-    """
-    reach = {_SOURCE}
-    stack = [_SOURCE]
-    while stack:
-        u = stack.pop()
-        for v in set(g.successors(u)) | set(g.predecessors(u)):
-            if v in reach:
-                continue
-            cap = g[u][v]["capacity"] if g.has_edge(u, v) else 0.0
-            net = flow.get(u, {}).get(v, 0.0) - flow.get(v, {}).get(u, 0.0)
-            if cap - net > 1e-12:
-                reach.add(v)
-                stack.append(v)
-    return reach
-
-
-def _violates_closure(w: WorkflowSpec, side_s: frozenset[str]) -> bool:
-    return any(e.src not in side_s and e.dst in side_s for e in w.edges)
-
-
-def _prefix_fallback(
-    w: WorkflowSpec, weights: dict[tuple[str, str], float]
-) -> CutResult:
-    """Cheapest topological prefix cut; always ancestor-closed."""
-    order = topological_order(w)
-    best: "CutResult | None" = None
-    for k in range(1, len(order)):
-        side_s = frozenset(order[:k])
-        if _violates_closure(w, side_s):
-            continue
-        side_t = frozenset(order[k:])
-        cut_edges = tuple(
-            sorted(
-                (e.src, e.dst)
-                for e in w.edges
-                if e.src in side_s and e.dst in side_t
-            )
-        )
-        weight = sum(weights[e] for e in cut_edges)
-        if best is None or weight < best.cut_weight:
-            best = CutResult(side_s, side_t, cut_edges, weight)
-    if best is None:
-        raise ValueError("workflow has no ancestor-closed prefix cut")
-    return best
+def _bfs_tree(residual: dict[str, dict[str, float]]) -> dict[str, str]:
+    """Breadth-first parents over live arcs, from the source to the sink."""
+    parent = {_SOURCE: _SOURCE}
+    frontier = [_SOURCE]
+    for u in frontier:
+        for v, cap in residual[u].items():
+            if cap > _RESIDUAL_TOL and v not in parent:
+                parent[v] = u
+                if v == _SINK:
+                    return parent
+                frontier.append(v)
+    return parent
 
 
 def _data_weights(w: WorkflowSpec) -> dict[tuple[str, str], float]:

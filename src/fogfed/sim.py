@@ -175,11 +175,13 @@ class _Wiring:
     """How one plan's requests instantiate: the same for every request.
 
     ``vertices`` holds, in spec order, each vertex's id, partition index,
-    predecessor count and sorted successors.
+    predecessor count and sorted successors; ``parts`` holds each
+    partition's vertex ids in partition order.
     """
 
     vertices: tuple[tuple[str, int, int, tuple[str, ...]], ...]
     exits: int
+    parts: tuple[tuple[str, ...], ...]
 
 
 def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
@@ -195,6 +197,7 @@ def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
             for v in spec.vertices
         ),
         len(spec.exits()),
+        tuple(tuple(v.id for v in p.vertices) for p in plan.partitions),
     )
 
 
@@ -211,6 +214,7 @@ class _Instance:
 @dataclass(eq=False)
 class _FogRuntime:
     busy_until: list
+    free: int
     queue: deque = field(default_factory=deque)
     pending_mean_ms: float = 0.0
 
@@ -231,7 +235,7 @@ class _Engine:
             cfg.etc, cfg.ett
         )
         self.runtimes = {
-            f.id: _FogRuntime(busy_until=[None] * f.node_count)
+            f.id: _FogRuntime([None] * f.node_count, f.node_count)
             for f in cfg.topo.fogs
         }
         # (plan, wiring) keyed (partition config, workflow shape, origin);
@@ -303,10 +307,14 @@ class _Engine:
         return hit
 
     def _allocate(
-        self, plan: PartitionPlan, request: Request
+        self, plan: PartitionPlan, wiring: _Wiring, request: Request
     ) -> list[AllocationDecision]:
         queues = self._queue_snapshot(request.origin_fog)
-        deadlines = partition_deadlines(plan, request)
+        # partition_deadlines, summed over the wiring's ids in the same order
+        dl, arrival = request.per_service_deadlines, request.arrival_ms
+        deadlines = tuple(
+            sum(dl[v] - arrival for v in ids) for ids in wiring.parts
+        )
         origin = request.origin_fog
         if self.cfg.alloc_method == "mr":
             decisions = allocate_mr(
@@ -368,7 +376,7 @@ class _Engine:
 
     def _on_arrival(self, request: Request) -> None:
         plan, wiring = self._plan_for(request)
-        decisions = self._allocate(plan, request)
+        decisions = self._allocate(plan, wiring, request)
         origin = request.origin_fog
         self._exits_left[request.id] = wiring.exits
         for vid, part_idx, n_preds, successors in wiring.vertices:
@@ -408,23 +416,23 @@ class _Engine:
 
     def _dispatch(self, fog: int) -> None:
         rt = self.runtimes[fog]
-        while rt.queue:
-            try:
-                node = rt.busy_until.index(None)
-            except ValueError:
-                return
+        while rt.queue and rt.free:
+            # the lowest free node, so snapshot sums keep their order
+            node = rt.busy_until.index(None)
             inst = rt.queue.popleft()
             dur = sample(self.cfg.etc.pmf(inst.vertex_id, fog), self.rng)
             until = self._now + dur
             if rt.busy_until[node] is not None:
                 raise RuntimeError(f"fog {fog} node {node} dispatched twice")
             rt.busy_until[node] = until
+            rt.free -= 1
             rt.pending_mean_ms = max(0.0, rt.pending_mean_ms - inst.mean_ms)
             self._push(until, _EXEC_DONE, (fog, node, inst))
 
     def _on_exec_done(self, fog: int, node: int, inst: _Instance) -> None:
         rt = self.runtimes[fog]
         rt.busy_until[node] = None
+        rt.free += 1
         request = inst.request
         if not inst.successors:
             self._exits_left[request.id] -= 1

@@ -3,6 +3,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fogfed.cli import (
     CSV_HEADER,
@@ -127,6 +129,59 @@ def test_scenario_validation():
         Scenario(name="x", mix=1.2)
 
 
+def test_scenario_validation_rejects_bad_types_and_ranges():
+    with pytest.raises(ValueError, match="loads must be a list"):
+        scenario_from_config(tiny_config(loads="4"))
+    with pytest.raises(ValueError, match="ci_level"):
+        scenario_from_config(tiny_config(ci_level=1.5))
+    with pytest.raises(ValueError, match="repetitions"):
+        scenario_from_config(tiny_config(repetitions=True))
+    with pytest.raises(ValueError, match="window_ms"):
+        scenario_from_config(tiny_config(window_ms=float("inf")))
+    with pytest.raises(ValueError, match="origin_mips"):
+        scenario_from_config(tiny_config(origin_mips=900.0))
+    with pytest.raises(ValueError, match="neighbor_mips"):
+        scenario_from_config(tiny_config(neighbor_mips=2000.0))
+    with pytest.raises(ValueError, match="grid"):
+        scenario_from_config({"name": "x", "grid": {"width": 2}})
+    with pytest.raises(ValueError, match="master_seed"):
+        scenario_from_config(tiny_config(seed="7"))
+    with pytest.raises(ValueError, match="degrees"):
+        scenario_from_config(tiny_config(degrees=[[1]]))
+
+
+_CONFIG_KEYS = sorted(
+    {"suite", "grid", "link", "seed", "junk"}
+    | {f for f in Scenario.__dataclass_fields__}
+)
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(sorted(SUITES) + ["mr", "propart", "alloc"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["width", "height", "bandwidth_mbps",
+                         "hop_mean_ms", "hop_std_ms"]),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _json_values))
+def test_scenario_from_config_returns_scenario_or_value_error(doc):
+    try:
+        scenario = scenario_from_config(doc)
+    except ValueError:
+        return
+    assert isinstance(scenario, Scenario)
+
+
 def test_fig5_cell_arithmetic():
     s = Scenario(name="fig5", **SUITES["fig5_partitioning"])
     assert len(sweep_tasks(s)) == 4 * 4 * 30
@@ -201,6 +256,33 @@ def test_simulate_bad_config_exits_nonzero(tmp_path, capsys):
     out = tmp_path / "out.csv"
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
     assert "unknown config fields" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "override", [{"loads": "4"}, {"ci_level": 1.5}], ids=["loads", "ci_level"]
+)
+def test_simulate_bad_field_is_one_line_config_error(
+    tmp_path, capsys, override
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config(**override)))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_rejects_negative_parallel(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config()))
+    out = tmp_path / "out.csv"
+    args = ["simulate", "--config", str(cfg), "--out", str(out)]
+    assert main(args + ["--parallel", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --parallel must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_simulate_rejects_non_integer_parallel_env(
@@ -302,6 +384,19 @@ def test_console_entry_point_installed():
     )
     assert out.returncode == 0
     assert "fig5_partitioning" in out.stdout
+
+
+def test_cli_import_needs_only_numpy():
+    code = (
+        "import fogfed.cli, sys; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} "
+        "& {'scipy', 'networkx'}))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"
 
 
 # ------------------------------------------------------------------- deltas

@@ -241,7 +241,7 @@ def test_scalar_samples_equal_array_samples(d, seed, n):
 
 
 def test_pmf_from_normal_matches_scipy_stats_norm_cdf():
-    from scipy.stats import norm
+    norm = pytest.importorskip("scipy.stats").norm
 
     for mean, std, width in [(100.0, 20.0, 1.0), (10.0, 20.0, 1.0),
                              (37.3, 0.8, 0.25), (2500.0, 900.0, 2.0)]:
@@ -252,6 +252,57 @@ def test_pmf_from_normal_matches_scipy_stats_norm_cdf():
         edges = np.clip((np.arange(k_lo, k_hi + 2) - 0.5) * width, 0.0, None)
         mass = np.clip(np.diff(norm.cdf(edges, loc=mean, scale=std)), 0.0, None)
         assert np.array_equal(d.mass, mass / mass.sum())
+
+
+def test_ndtr_is_bit_equal_to_scipy():
+    ndtr = pytest.importorskip("scipy.special").ndtr
+    rng = np.random.default_rng(20240)
+    rt2 = math.sqrt(2.0)
+    # the branch boundaries are |x| = 1/sqrt2 (erf vs erfc), |x| = 1
+    # (erfc's own erf branch), |x| = 8 (P/Q vs R/S) and the exp underflow
+    # near 37.5, all on x = a / sqrt2
+    bounds = np.array([0.0, 1.0, rt2, 8.0 * rt2, 37.5, 37.6, 38.0, 1e6,
+                       np.inf])
+    bounds = np.concatenate(
+        [bounds, np.nextafter(bounds, 0.0), np.nextafter(bounds, np.inf)]
+    )
+    a = np.concatenate([
+        rng.standard_normal(400_000) * 3.0,
+        rng.uniform(-40.0, 40.0, 400_000),
+        np.linspace(-12.0, 12.0, 200_001),
+        bounds,
+        -bounds,
+    ])
+    with np.errstate(all="ignore"):
+        want = ndtr(a)
+    got = dist._ndtr(a)
+    assert got.dtype == np.float64
+    mismatch = np.flatnonzero(got != want)
+    assert mismatch.size == 0, a[mismatch[:5]]
+    assert math.isnan(dist._ndtr(np.array([math.nan]))[0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.builds(
+            NormalSpec,
+            mean=st.floats(min_value=0.01, max_value=3000.0),
+            std=st.one_of(
+                st.just(0.0), st.floats(min_value=1e-12, max_value=900.0)
+            ),
+        ),
+        max_size=8,
+    ),
+    st.sampled_from([0.25, 1.0, 2.0]),
+)
+def test_pmfs_from_normal_equals_one_spec_calls(specs, width):
+    batch = dist.pmfs_from_normal(specs, width)
+    assert len(batch) == len(specs)
+    for spec, got in zip(specs, batch):
+        want = dist.pmf_from_normal(spec, width)
+        assert (got.origin, got.bin_width) == (want.origin, want.bin_width)
+        assert np.array_equal(got.mass, want.mass)
 
 
 # ---------------------------------------------------------- algebra properties

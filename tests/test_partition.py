@@ -125,6 +125,12 @@ class TestMinCut:
         with pytest.raises(ValueError):
             min_cut(w, {("a", "b"): 0.0})
 
+    def test_infinite_capacity_path_rejected(self):
+        # a vertex that is both an entry and an exit cannot be separated
+        w = WorkflowSpec("t", _vs("a", "b"), ())
+        with pytest.raises(ValueError, match="infinite capacity"):
+            min_cut(w, {})
+
     def test_matches_brute_force_on_random_dags(self):
         rng = np.random.default_rng(2042)
         for _ in range(40):
@@ -141,6 +147,7 @@ class TestMinCut:
             # the returned side is the inclusion-minimal optimum
             for side in best_sides:
                 assert cut.side_s <= side
+            assert cut.side_s == set.intersection(*best_sides)
 
 
 def _etc_two_fogs(types, slow_ms, fast_ms):
