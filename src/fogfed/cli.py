@@ -125,11 +125,16 @@ class Scenario:
         )
         if self.neighbor_mips is not None:
             # the pins _build_context applies around a gateway of the
-            # largest degree the sweep can use
-            steps = _NEIGHBOR_STAGGER[: max(self.degrees, default=4)]
-            if not all(
-                _is_real(self.neighbor_mips)
-                and MIPS_LO <= self.neighbor_mips + step <= MIPS_HI
+            # largest degree the sweep uses.  Without degrees the gateway
+            # is the slowest drawn fog, so allow for the most neighbours
+            # any fog of the grid has, whatever the seed.
+            if self.degrees:
+                count = max(self.degrees)
+            else:
+                count = min(self.width - 1, 2) + min(self.height - 1, 2)
+            steps = _NEIGHBOR_STAGGER[:count]
+            if not _is_real(self.neighbor_mips) or not all(
+                MIPS_LO <= self.neighbor_mips + step <= MIPS_HI
                 for step in steps
             ):
                 raise ValueError(

@@ -10,7 +10,6 @@ turns payload sizes into hop-indexed transfer latency PMFs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -71,17 +70,6 @@ class FederationTopology:
     def fog_ids(self) -> range:
         return range(len(self.fogs))
 
-    # cached_property writes to __dict__, so it works on a frozen dataclass
-    @cached_property
-    def hops(self) -> dict[tuple[int, int], int]:
-        """Manhattan grid distance of every ordered fog pair."""
-        return {
-            (a.id, b.id): abs(a.grid_pos[0] - b.grid_pos[0])
-            + abs(a.grid_pos[1] - b.grid_pos[1])
-            for a in self.fogs
-            for b in self.fogs
-        }
-
 
 def build_grid(
     width: int,
@@ -124,13 +112,13 @@ def build_grid(
 
 
 def hop_distance(topo: FederationTopology, a: int, b: int) -> int:
-    """Manhattan distance on the grid."""
-    try:
-        return topo.hops[(a, b)]
-    except KeyError:
-        topo.fog(a)
-        topo.fog(b)
-        raise
+    """Manhattan distance on the grid, from the row-major fog ids."""
+    n = len(topo.fogs)
+    if not (0 <= a < n and 0 <= b < n):
+        raise KeyError(f"unknown fog {b if 0 <= a < n else a}")
+    ay, ax = divmod(a, topo.width)
+    by, bx = divmod(b, topo.width)
+    return abs(ax - bx) + abs(ay - by)
 
 
 def slowest_fog(topo: FederationTopology) -> int:

@@ -161,12 +161,9 @@ def partition_deadlines(
     plan: PartitionPlan, request: Request
 ) -> tuple[float, ...]:
     """Arrival-relative budget of each partition: sum of member slacks."""
-    slacks = {
-        vid: dl - request.arrival_ms
-        for vid, dl in request.per_service_deadlines.items()
-    }
+    dl, arrival = request.per_service_deadlines, request.arrival_ms
     return tuple(
-        sum(slacks[v.id] for v in p.vertices) for p in plan.partitions
+        sum(dl[v.id] - arrival for v in p.vertices) for p in plan.partitions
     )
 
 
@@ -175,13 +172,11 @@ class _Wiring:
     """How one plan's requests instantiate: the same for every request.
 
     ``vertices`` holds, in spec order, each vertex's id, partition index,
-    predecessor count and sorted successors; ``parts`` holds each
-    partition's vertex ids in partition order.
+    predecessor count and sorted successors.
     """
 
     vertices: tuple[tuple[str, int, int, tuple[str, ...]], ...]
     exits: int
-    parts: tuple[tuple[str, ...], ...]
 
 
 def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
@@ -197,7 +192,6 @@ def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
             for v in spec.vertices
         ),
         len(spec.exits()),
-        tuple(tuple(v.id for v in p.vertices) for p in plan.partitions),
     )
 
 
@@ -307,14 +301,10 @@ class _Engine:
         return hit
 
     def _allocate(
-        self, plan: PartitionPlan, wiring: _Wiring, request: Request
+        self, plan: PartitionPlan, request: Request
     ) -> list[AllocationDecision]:
         queues = self._queue_snapshot(request.origin_fog)
-        # partition_deadlines, summed over the wiring's ids in the same order
-        dl, arrival = request.per_service_deadlines, request.arrival_ms
-        deadlines = tuple(
-            sum(dl[v] - arrival for v in ids) for ids in wiring.parts
-        )
+        deadlines = partition_deadlines(plan, request)
         origin = request.origin_fog
         if self.cfg.alloc_method == "mr":
             decisions = allocate_mr(
@@ -376,7 +366,7 @@ class _Engine:
 
     def _on_arrival(self, request: Request) -> None:
         plan, wiring = self._plan_for(request)
-        decisions = self._allocate(plan, wiring, request)
+        decisions = self._allocate(plan, request)
         origin = request.origin_fog
         self._exits_left[request.id] = wiring.exits
         for vid, part_idx, n_preds, successors in wiring.vertices:

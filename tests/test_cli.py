@@ -142,12 +142,40 @@ def test_scenario_validation_rejects_bad_types_and_ranges():
         scenario_from_config(tiny_config(origin_mips=900.0))
     with pytest.raises(ValueError, match="neighbor_mips"):
         scenario_from_config(tiny_config(neighbor_mips=2000.0))
+    with pytest.raises(ValueError, match="neighbor_mips"):
+        scenario_from_config(tiny_config(neighbor_mips="2400"))
     with pytest.raises(ValueError, match="grid"):
         scenario_from_config({"name": "x", "grid": {"width": 2}})
     with pytest.raises(ValueError, match="master_seed"):
         scenario_from_config(tiny_config(seed="7"))
     with pytest.raises(ValueError, match="degrees"):
         scenario_from_config(tiny_config(degrees=[[1]]))
+
+
+@pytest.mark.parametrize(
+    "grid,degrees,accepted",
+    [
+        # one neighbour at most: only the unstaggered pin applies
+        ({"width": 2, "height": 1}, None, True),
+        # two neighbours at most: 2460 and 1910
+        ({"width": 3, "height": 1}, None, True),
+        # a slowest fog in the middle gets 2460 + 50
+        ({"width": 3, "height": 3}, None, False),
+        ({"width": 3, "height": 3}, [1, 2], True),
+        ({"width": 3, "height": 3}, [1, 3], False),
+    ],
+)
+def test_neighbor_mips_checks_only_the_pins_that_can_apply(
+    grid, degrees, accepted
+):
+    doc = tiny_config(neighbor_mips=2460.0, grid=grid)
+    if degrees is not None:
+        doc["degrees"] = degrees
+    if accepted:
+        assert scenario_from_config(doc).neighbor_mips == 2460.0
+    else:
+        with pytest.raises(ValueError, match="neighbor_mips"):
+            scenario_from_config(doc)
 
 
 _CONFIG_KEYS = sorted(

@@ -100,6 +100,19 @@ class TestHopDistance:
         topo = build_grid(2, 2, seed=1)
         with pytest.raises(KeyError):
             hop_distance(topo, 0, 99)
+        with pytest.raises(KeyError):
+            hop_distance(topo, -1, 0)
+        with pytest.raises(KeyError):
+            hop_distance(topo, 4, 0)
+
+    @pytest.mark.parametrize("width,height", [(1, 4), (4, 1), (3, 2), (5, 3)])
+    def test_matches_grid_positions(self, width, height):
+        topo = build_grid(width, height, seed=1)
+        for fa in topo.fogs:
+            for fb in topo.fogs:
+                assert hop_distance(topo, fa.id, fb.id) == abs(
+                    fa.grid_pos[0] - fb.grid_pos[0]
+                ) + abs(fa.grid_pos[1] - fb.grid_pos[1])
 
 
 class TestEtc:
