@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 # shift, central_ci, prob_on_time and mean are not called here any more
 # (``Completion.at`` reproduces them); they stay importable from this module
@@ -30,7 +31,9 @@ from .dist import (  # noqa: F401
 )
 from .federation import EtcMatrix, EttMatrix, FederationTopology, hop_distance
 from .model import WorkflowSpec
-from .partition import EtcSuccessEstimator, PartitionPlan
+
+if TYPE_CHECKING:
+    from .partition import PartitionPlan
 
 REASONS = (
     "local_default",
@@ -124,41 +127,53 @@ class CompletionModel:
     Entries live in a single dict under three key shapes:
 
     - ``(types, fog, hops, ci_level)``: a ``Completion`` of the end-to-end
-      PMF (the chain on ``fog`` plus, for ``hops > 0``, the entry payload
-      transfer), which ``allocate_mr`` evaluates per queue wait without
-      building a shifted PMF;
-    - ``(types, fog, hops)``: that end-to-end PMF itself, for ``hops > 0``;
+      PMF, which ``allocate_mr`` evaluates per queue wait without building
+      a shifted PMF;
+    - ``(types, fog, hops)``: the end-to-end PMF itself.  With ``hops == 0``
+      it is the chain of ``types`` on ``fog``, which the partitioner's
+      on-time estimates read too; chains are built by prefix, so partitions
+      of one template share their leading convolutions;
     - ``(types, fog)``: the sum of the chain's per-type mean exec times.
 
     Nothing is keyed by queue wait or request, so the cache is bounded by
-    the partitions, fogs and hop counts a context can see.  Chain PMFs come
-    from the partitioner's ``EtcSuccessEstimator``, shared with plan builds.
+    the partitions, fogs and hop counts a context can see.
     """
 
     def __init__(self, etc: EtcMatrix, ett: "EttMatrix | None" = None):
         self.etc = etc
         self.ett = ett
-        self.estimator = EtcSuccessEstimator(etc)
         self._cache: dict = {}
-
-    def chain(self, types: tuple[str, ...], fog_id: int) -> LatencyPmf:
-        return self.estimator.chain_pmf(types, fog_id)
 
     def end_to_end(
         self, types: tuple[str, ...], fog_id: int, hops: int
     ) -> LatencyPmf:
-        """Chain on ``fog_id`` plus the entry payload transfer over ``hops``."""
-        if hops == 0:
-            return self.chain(types, fog_id)
-        if self.ett is None:
-            raise ValueError("transfer matrix required for remote estimates")
+        """Completion PMF of ``types`` on ``fog_id`` after ``hops`` of transfer.
+
+        ``hops == 0`` gives the bare chain, built by prefix; otherwise the
+        chain is convolved with the entry payload transfer over ``hops``.
+        """
         key = (types, fog_id, hops)
         hit = self._cache.get(key)
-        if hit is None:
+        if hit is not None:
+            return hit
+        if not types:
+            raise ValueError("empty chain")
+        if hops:
+            if self.ett is None:
+                raise ValueError(
+                    "transfer matrix required for remote estimates"
+                )
             hit = convolve(
-                self.chain(types, fog_id), self.ett.pmf(types[0], hops)
+                self.end_to_end(types, fog_id, 0), self.ett.pmf(types[0], hops)
             )
-            self._cache[key] = hit
+        elif len(types) == 1:
+            hit = self.etc.pmf(types[0], fog_id)
+        else:
+            hit = convolve(
+                self.end_to_end(types[:-1], fog_id, 0),
+                self.etc.pmf(types[-1], fog_id),
+            )
+        self._cache[key] = hit
         return hit
 
     def completion(

@@ -325,10 +325,14 @@ def scenario_from_config(doc: dict) -> Scenario:
 
 def run_seed(scenario: Scenario, method: str, load: int, degree: int,
              rep: int) -> int:
-    """Injective per-run seed from the cell coordinates."""
+    """Injective per-run seed from the cell coordinates.
+
+    ``mix`` enters as a float, so equal scenarios (``"mix": 1`` and
+    ``"mix": 1.0``) get equal seeds.
+    """
     key = (
         f"{scenario.name}|{scenario.master_seed}|{method}|{load}"
-        f"|{scenario.mix}|{degree}|{rep}"
+        f"|{float(scenario.mix)}|{degree}|{rep}"
     )
     digest = hashlib.sha256(key.encode()).digest()
     return int.from_bytes(digest[:8], "big")

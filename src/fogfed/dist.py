@@ -60,9 +60,6 @@ class CiInterval:
         if self.lo > self.hi:
             raise ValueError(f"CI bounds out of order: [{self.lo}, {self.hi}]")
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 @dataclass(frozen=True, eq=False)
 class LatencyPmf:
@@ -368,16 +365,6 @@ def convolve(a: LatencyPmf, b: LatencyPmf) -> LatencyPmf:
     if total > 0.0:
         mass /= total
     return LatencyPmf(a.bin_width, a.origin + b.origin, mass)
-
-
-def convolve_chain(parts: "list[LatencyPmf] | tuple[LatencyPmf, ...]") -> LatencyPmf:
-    """Fold ``convolve`` over a non-empty sequence of distributions."""
-    if len(parts) == 0:
-        raise ValueError("convolve_chain needs at least one distribution")
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = convolve(acc, part)
-    return acc
 
 
 def prob_on_time_at(

@@ -184,9 +184,6 @@ class EtcMatrix:
         except KeyError:
             raise KeyError(f"no ETC entry for ({mtype!r}, {fog_id})") from None
 
-    def mean(self, mtype: str, fog_id: int) -> float:
-        return self.pmf(mtype, fog_id).mean
-
     def types(self) -> list[str]:
         return sorted({t for t, _ in self.entries})
 
@@ -248,9 +245,6 @@ class EttMatrix:
             return self.entries[(mtype, hops)]
         except KeyError:
             raise KeyError(f"no ETT entry for ({mtype!r}, {hops} hops)") from None
-
-    def types(self) -> list[str]:
-        return sorted({t for t, _ in self.entries})
 
 
 def build_ett(

@@ -58,8 +58,7 @@ class WorkflowSpec:
     ``input_mb`` is the payload that must reach the entry vertex before it
     can start (the raw sensor/video segment for the built-in apps).  Edges
     given as bare ``(src, dst)`` pairs pick up the source vertex's
-    output_data; explicit ``Edge`` values are kept as-is so that
-    ``validate_dag`` can report mismatches.
+    output_data; explicit ``Edge`` values keep their own payload.
     """
 
     app: str
@@ -160,47 +159,6 @@ def structural_issues(
                 ready.append(m)
     if seen != len(known):
         issues.append("cycle detected")
-    return issues
-
-
-def validate_dag(w: WorkflowSpec) -> list[str]:
-    """Full invariant report; empty list means the workflow is well formed.
-
-    Construction already rejects structural breakage (cycles, duplicate or
-    unknown ids), so on a live spec this reports the soft invariants:
-    weak connectivity, edge payloads matching the source vertex's output,
-    and pinning restricted to the entry.
-    """
-    issues = structural_issues(w.vertices, w.edges)
-    if issues:
-        return issues
-    # weak connectivity via union of edge endpoints
-    if len(w.vertices) > 1:
-        comp = {w.vertices[0].id}
-        frontier = [w.vertices[0].id]
-        undirected: dict[str, set[str]] = {v.id: set() for v in w.vertices}
-        for e in w.edges:
-            undirected[e.src].add(e.dst)
-            undirected[e.dst].add(e.src)
-        while frontier:
-            n = frontier.pop()
-            for m in undirected[n]:
-                if m not in comp:
-                    comp.add(m)
-                    frontier.append(m)
-        if len(comp) != len(w.vertices):
-            issues.append("graph is not weakly connected")
-    for e in w.edges:
-        out = w.vertex(e.src).output_data
-        if not math.isclose(e.data_mb, out, rel_tol=1e-9, abs_tol=1e-12):
-            issues.append(
-                f"edge ({e.src}, {e.dst}) carries {e.data_mb} MB but the "
-                f"source outputs {out} MB"
-            )
-    entries = set(w.entries())
-    for v in w.vertices:
-        if v.location_pinned and v.id not in entries:
-            issues.append(f"non-entry vertex {v.id} is location-pinned")
     return issues
 
 
@@ -463,40 +421,4 @@ def assign_deadlines(
         origin_fog=origin_fog,
         workflow_deadline=workflow_deadline,
         per_service_deadlines=per_service,
-    )
-
-
-# --------------------------------------------------------------- JSON loading
-
-
-def workflow_from_json(doc: dict) -> WorkflowSpec:
-    """Build a workflow from the documented JSON shape.
-
-    {"app": ..., "input_mb": ...,
-     "vertices": [{"id", "name", "app", "work": {"mean_mi", "std_mi"},
-                   "output_mb", "pinned"}...],
-     "edges": [{"from", "to"}...]}
-
-    Edge payloads are implied by the source vertex's output_mb.
-    """
-    try:
-        vertices = tuple(
-            MicroServiceSpec(
-                id=v["id"],
-                name=v.get("name", v["id"]),
-                app=v.get("app", doc.get("app", "custom")),
-                work=NormalSpec(v["work"]["mean_mi"], v["work"]["std_mi"]),
-                output_data=float(v.get("output_mb", 0.0)),
-                location_pinned=bool(v.get("pinned", False)),
-            )
-            for v in doc["vertices"]
-        )
-        edges = tuple((e["from"], e["to"]) for e in doc.get("edges", []))
-    except KeyError as exc:
-        raise ValueError(f"workflow JSON missing key: {exc}") from None
-    return WorkflowSpec(
-        app=doc.get("app", "custom"),
-        vertices=vertices,
-        edges=edges,
-        input_mb=float(doc.get("input_mb", 1.0)),
     )

@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .dist import LatencyPmf, convolve, prob_on_time
-from .federation import EtcMatrix
+from .alloc import CompletionModel
+from .dist import prob_on_time
 from .model import Request, WorkflowSpec, topological_order
 
 _SOURCE = "__source__"
@@ -184,49 +184,17 @@ def _data_weights(w: WorkflowSpec) -> dict[tuple[str, str], float]:
 # ------------------------------------------------------------ success models
 
 
-class EtcSuccessEstimator:
-    """Eq.-2 style on-time probabilities from computation latencies only.
+def _best_prob(
+    model: CompletionModel, types: tuple[str, ...], deadline_rel: float
+) -> float:
+    """Highest Eq.-2 on-time probability of the chain over the federation.
 
-    Chain PMFs are memoized per (type prefix, fog); prefixes shared by
-    partitions of the same template are reused across calls.
+    Computation latencies only; no transfer or queueing term.
     """
-
-    def __init__(self, etc: EtcMatrix):
-        self.etc = etc
-        self._chains: dict[tuple[tuple[str, ...], int], LatencyPmf] = {}
-
-    def chain_pmf(self, types: tuple[str, ...], fog_id: int) -> LatencyPmf:
-        if not types:
-            raise ValueError("empty chain")
-        key = (types, fog_id)
-        hit = self._chains.get(key)
-        if hit is not None:
-            return hit
-        if len(types) == 1:
-            pmf = self.etc.pmf(types[0], fog_id)
-        else:
-            pmf = convolve(
-                self.chain_pmf(types[:-1], fog_id),
-                self.etc.pmf(types[-1], fog_id),
-            )
-        self._chains[key] = pmf
-        return pmf
-
-    def prob_on_fog(
-        self, types: tuple[str, ...], deadline_rel: float, fog_id: int
-    ) -> float:
-        return prob_on_time(self.chain_pmf(types, fog_id), deadline_rel)
-
-    def best_prob(
-        self, types: tuple[str, ...], deadline_rel: float
-    ) -> tuple[float, int]:
-        """Highest achievable probability over the federation (ties: lower id)."""
-        best_p, best_fog = -1.0, -1
-        for fog_id in self.etc.fog_ids():
-            p = self.prob_on_fog(types, deadline_rel, fog_id)
-            if p > best_p:
-                best_p, best_fog = p, fog_id
-        return best_p, best_fog
+    return max(
+        prob_on_time(model.end_to_end(types, fog_id, 0), deadline_rel)
+        for fog_id in model.etc.fog_ids()
+    )
 
 
 # ------------------------------------------------------------------- methods
@@ -294,10 +262,9 @@ def baseline_least_data(w: WorkflowSpec) -> PartitionPlan:
 
 def propart(
     w: WorkflowSpec,
-    etc: EtcMatrix,
+    model: CompletionModel,
     request: Request,
     cfg: PartitionConfig,
-    estimator: "EtcSuccessEstimator | None" = None,
 ) -> PartitionPlan:
     """Recursive probability-improving partitioning.
 
@@ -307,14 +274,15 @@ def propart(
     parent's probability (sides judged by their best fog, computation
     latencies only), and the recursion continues on kept sides.
     """
-    est = estimator if estimator is not None else EtcSuccessEstimator(etc)
     slacks = {
         vid: dl - request.arrival_ms
         for vid, dl in request.per_service_deadlines.items()
     }
     types = w.topo_order
     delta = request.workflow_deadline - request.arrival_ms
-    root_p = est.prob_on_fog(types, delta, request.origin_fog)
+    root_p = prob_on_time(
+        model.end_to_end(types, request.origin_fog, 0), delta
+    )
     if root_p >= cfg.alpha or len(w.vertices) == 1:
         return PartitionPlan(
             method="propart",
@@ -337,8 +305,8 @@ def propart(
         order = topological_order(sub)
         side_s = tuple(v for v in order if v in cut.side_s)
         side_t = tuple(v for v in order if v in cut.side_t)
-        p_s, _ = est.best_prob(side_s, sum(slacks[v] for v in side_s))
-        p_t, _ = est.best_prob(side_t, sum(slacks[v] for v in side_t))
+        p_s = _best_prob(model, side_s, sum(slacks[v] for v in side_s))
+        p_t = _best_prob(model, side_t, sum(slacks[v] for v in side_t))
         accepted = p_s > parent_p and p_t > parent_p
         trace.append(
             SplitDecision(
@@ -373,9 +341,8 @@ def propart(
 def build_plan(
     cfg: PartitionConfig,
     w: WorkflowSpec,
-    etc: "EtcMatrix | None" = None,
+    model: "CompletionModel | None" = None,
     request: "Request | None" = None,
-    estimator: "EtcSuccessEstimator | None" = None,
 ) -> PartitionPlan:
     """Dispatch on the configured method."""
     if cfg.method == "no_partition":
@@ -384,9 +351,9 @@ def build_plan(
         return baseline_mincut(w)
     if cfg.method == "least_data":
         return baseline_least_data(w)
-    if etc is None and estimator is None or request is None:
-        raise ValueError("propart needs an ETC matrix and a request")
-    return propart(w, etc, request, cfg, estimator)
+    if model is None or request is None:
+        raise ValueError("propart needs a completion model and a request")
+    return propart(w, model, request, cfg)
 
 
 # ----------------------------------------------------------------- validation

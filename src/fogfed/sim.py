@@ -288,9 +288,8 @@ class _Engine:
             plan = build_plan(
                 self.cfg.partition_cfg,
                 request.spec,
-                etc=self.cfg.etc,
+                model=self.model,
                 request=request,
-                estimator=self.model.estimator,
             )
             hit = (plan, _wiring(plan, request.spec))
             self._plans[key] = hit

@@ -210,7 +210,7 @@ def test_partition_trace_contract(fig5_sweep, fig7_sweep, fig11_sweep, fig12_swe
     # direct checks on freshly built plans
     sc = scenario_from_config({"suite": "fig5_partitioning", "seed": 1234})
     ctx = _build_context(sc, None)
-    etc, est = ctx["etc"], ctx["model"].estimator
+    etc, model = ctx["etc"], ctx["model"]
     mean_exec = {t: mean_exec_profile(etc, t) for t in etc.types()}
     accepted = rolled_back = 0
     for tmpl in ctx["templates"]:
@@ -226,9 +226,8 @@ def test_partition_trace_contract(fig5_sweep, fig7_sweep, fig11_sweep, fig12_swe
             plan = build_plan(
                 PartitionConfig(alpha=0.5, method="propart"),
                 tmpl,
-                etc,
-                req,
-                estimator=est,
+                model=model,
+                request=req,
             )
             assert validate_plan(plan, tmpl) == []
             for d in plan.trace:
@@ -243,9 +242,8 @@ def test_partition_trace_contract(fig5_sweep, fig7_sweep, fig11_sweep, fig12_swe
             plan0 = build_plan(
                 PartitionConfig(alpha=0.0, method="propart"),
                 tmpl,
-                etc,
-                req,
-                estimator=est,
+                model=model,
+                request=req,
             )
             assert len(plan0.partitions) == 1
             assert plan0.trace == ()

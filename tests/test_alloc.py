@@ -358,6 +358,18 @@ def test_completion_model_caches():
     assert facts is m.completion(("a", "b"), 0, 1, 0.95)
     assert facts is not m.completion(("a", "b"), 0, 1, 0.9)
     assert facts.mean == first.mean
+    # chains are memoized by prefix: the 1-type prefix is the ETC entry
+    # itself, and the 2-type chain convolves it with the next type
+    chain = m.end_to_end(("a", "b"), 0, 0)
+    assert m.end_to_end(("a", "b"), 0, 0) is chain
+    assert m._cache[(("a",), 0, 0)] is etc.pmf("a", 0)
+    ref = convolve(etc.pmf("a", 0), etc.pmf("b", 0))
+    assert (chain.bin_width, chain.origin) == (ref.bin_width, ref.origin)
+    assert np.array_equal(chain.mass, ref.mass)
+    with pytest.raises(ValueError, match="transfer matrix"):
+        CompletionModel(etc).end_to_end(("a",), 0, 1)
+    with pytest.raises(ValueError, match="empty chain"):
+        m.end_to_end((), 0, 0)
 
 
 grid_pmfs = st.builds(

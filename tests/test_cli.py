@@ -231,6 +231,33 @@ def test_run_seeds_injective_over_sweep():
     assert run_seed(s2, "mr", 100, 1, 0) != run_seed(bumped, "mr", 100, 1, 0)
 
 
+def test_integer_mix_gets_the_float_mix_seed(tmp_path):
+    as_int = scenario_from_config(
+        {"suite": "fig7_alloc_monolithic", "mix": 1}
+    )
+    as_float = scenario_from_config(
+        {"suite": "fig7_alloc_monolithic", "mix": 1.0}
+    )
+    assert as_int == as_float
+    assert run_seed(as_int, "mr", 400, 0, 0) == run_seed(
+        as_float, "mr", 400, 0, 0
+    )
+    outs = []
+    for mix in (1, 1.0):
+        cfg = tmp_path / f"cfg_{mix!r}.json"
+        cfg.write_text(
+            json.dumps(
+                tiny_config(
+                    suite="fig7_alloc_monolithic", mix=mix, methods=["mr"]
+                )
+            )
+        )
+        out = tmp_path / f"out_{mix!r}.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
 # -------------------------------------------------------------------- sweep
 
 
@@ -415,16 +442,20 @@ def test_console_entry_point_installed():
 
 
 def test_cli_import_needs_only_numpy():
-    code = (
-        "import fogfed.cli, sys; "
-        "print(sorted({m.split('.')[0] for m in sys.modules} "
-        "& {'scipy', 'networkx'}))"
-    )
-    out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True
-    )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout == "[]\n"
+    # one fresh interpreter per module imported first, so an import cycle
+    # (partition imports alloc) fails whichever side comes first
+    for first in ("dist", "federation", "model", "partition", "alloc",
+                  "sim", "cli"):
+        code = (
+            f"import fogfed.{first}, fogfed.cli, sys; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} "
+            "& {'scipy', 'networkx'}))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True
+        )
+        assert out.returncode == 0, (first, out.stderr)
+        assert out.stdout == "[]\n", first
 
 
 # ------------------------------------------------------------------- deltas

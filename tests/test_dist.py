@@ -104,11 +104,6 @@ def test_convolve_rejects_mixed_grids():
         dist.convolve(a, b)
 
 
-def test_convolve_chain_empty_rejected():
-    with pytest.raises(ValueError):
-        dist.convolve_chain([])
-
-
 def test_convolve_against_monte_carlo_oracle():
     # Oracle: 1e7 seeded samples of trunc-N(100,20) + trunc-N(50,10) rounded
     # to the 1 ms grid (rng seed 20260816): mean 149.995, P(<=160) 0.68094,

@@ -137,7 +137,7 @@ class TestEtc:
         etc = build_etc(topo, APP_PROFILES, bin_width=1.0)
         expected = {"fire": 1349.5, "har": 0.51, "oil": 65.98, "aie": 7.55}
         for mtype, ms in expected.items():
-            assert etc.mean(mtype, 0) == pytest.approx(ms, abs=1.0)
+            assert etc.pmf(mtype, 0).mean == pytest.approx(ms, abs=1.0)
 
     def test_complete_over_pairs(self):
         topo = build_grid(2, 2, seed=3)

@@ -1,8 +1,10 @@
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+from fogfed.alloc import CompletionModel
 from fogfed.dist import NormalSpec, point_mass
 from fogfed.federation import EtcMatrix
 from fogfed.model import (
@@ -13,7 +15,6 @@ from fogfed.model import (
     builtin_app,
 )
 from fogfed.partition import (
-    EtcSuccessEstimator,
     PartitionConfig,
     baseline_least_data,
     baseline_mincut,
@@ -150,14 +151,14 @@ class TestMinCut:
             assert cut.side_s == set.intersection(*best_sides)
 
 
-def _etc_two_fogs(types, slow_ms, fast_ms):
+def _model_two_fogs(types, slow_ms, fast_ms):
     entries, specs = {}, {}
     for t in types:
         entries[(t, 0)] = point_mass(slow_ms, 1.0)
         entries[(t, 1)] = point_mass(fast_ms, 1.0)
         specs[(t, 0)] = NormalSpec(slow_ms, 0.0)
         specs[(t, 1)] = NormalSpec(fast_ms, 0.0)
-    return EtcMatrix(1.0, entries, specs)
+    return CompletionModel(EtcMatrix(1.0, entries, specs))
 
 
 def _request(w, slack_per_vertex, arrival=0.0):
@@ -171,9 +172,9 @@ def _request(w, slack_per_vertex, arrival=0.0):
 class TestProPart:
     def test_alpha_gate_keeps_whole(self):
         w = _chain(["a", "b", "c", "d"])
-        etc = _etc_two_fogs([v.id for v in w.vertices], 10.0, 10.0)
+        model = _model_two_fogs([v.id for v in w.vertices], 10.0, 10.0)
         req = _request(w, 50.0)  # local: 40ms vs 200 budget -> P=1
-        plan = propart(w, etc, req, PartitionConfig(alpha=0.5))
+        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
         assert len(plan.partitions) == 1
         assert plan.root_p == 1.0
         assert plan.trace == ()
@@ -181,24 +182,24 @@ class TestProPart:
 
     def test_alpha_zero_never_splits(self):
         w = _chain(["a", "b", "c", "d"])
-        etc = _etc_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
+        model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
         req = _request(w, 50.0)  # local P=0, but alpha=0 accepts anything
-        plan = propart(w, etc, req, PartitionConfig(alpha=0.0))
+        plan = propart(w, model, req, PartitionConfig(alpha=0.0))
         assert len(plan.partitions) == 1
         assert validate_plan(plan, w) == []
 
     def test_single_vertex_final(self):
         w = WorkflowSpec("t", _vs("a"), ())
-        etc = _etc_two_fogs(["a"], 100.0, 10.0)
+        model = _model_two_fogs(["a"], 100.0, 10.0)
         req = _request(w, 50.0)
-        plan = propart(w, etc, req, PartitionConfig(alpha=0.99))
+        plan = propart(w, model, req, PartitionConfig(alpha=0.99))
         assert len(plan.partitions) == 1
 
     def test_improving_split_accepted(self):
         w = _chain(["a", "b", "c", "d"])
-        etc = _etc_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
+        model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
         req = _request(w, 50.0)
-        plan = propart(w, etc, req, PartitionConfig(alpha=0.5))
+        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
         assert plan.root_p == 0.0
         assert len(plan.partitions) == 2
         assert [len(p.vertices) for p in plan.partitions] == [1, 3]
@@ -224,9 +225,9 @@ class TestProPart:
     def test_non_improving_split_rolls_back(self):
         w = _chain(["a", "b", "c", "d"])
         # both fogs hopeless: every side stays at P=0
-        etc = _etc_two_fogs([v.id for v in w.vertices], 100.0, 100.0)
+        model = _model_two_fogs([v.id for v in w.vertices], 100.0, 100.0)
         req = _request(w, 50.0)
-        plan = propart(w, etc, req, PartitionConfig(alpha=0.5))
+        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
         assert len(plan.partitions) == 1
         assert len(plan.trace) == 1
         assert not plan.trace[0].accepted
@@ -234,9 +235,9 @@ class TestProPart:
 
     def test_precedence_order(self):
         w = _chain(["a", "b", "c", "d"])
-        etc = _etc_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
+        model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
         req = _request(w, 50.0)
-        plan = propart(w, etc, req, PartitionConfig(alpha=0.5))
+        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
         seen = []
         for p in plan.partitions:
             seen.extend(v.id for v in p.vertices)
@@ -244,20 +245,30 @@ class TestProPart:
 
     def test_pinned_partition_flagged(self):
         w = builtin_app("fire")
-        etc = _etc_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
+        model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
         req = _request(w, 50.0)
-        plan = propart(w, etc, req, PartitionConfig(alpha=0.5))
+        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
         assert plan.must_run_local[0]
         assert not any(plan.must_run_local[1:])
 
     def test_estimator_injection(self):
-        w = _chain(["a", "b"])
-        etc = _etc_two_fogs(["a", "b"], 100.0, 10.0)
-        est = EtcSuccessEstimator(etc)
+        """Plans read on-time estimates from whichever model they are given;
+        a shared model that earlier plans warmed gives a fresh one's plan."""
+        w = _chain(["a", "b", "c", "d"])
+        shared = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
         req = _request(w, 50.0)
-        a = propart(w, etc, req, PartitionConfig(alpha=0.5))
-        b = propart(w, etc, req, PartitionConfig(alpha=0.5), estimator=est)
-        assert len(a.partitions) == len(b.partitions)
+        cfg = PartitionConfig(alpha=0.5)
+        propart(w.induced({"b", "c", "d"}), shared, req, cfg)
+        warm = propart(w, shared, req, cfg)
+        again = propart(w, shared, req, cfg)
+        fresh = propart(w, CompletionModel(shared.etc), req, cfg)
+        assert fresh.trace
+        for plan in (warm, again):
+            assert plan.partitions == fresh.partitions
+            assert plan.est_success == fresh.est_success
+            assert [astuple(d) for d in plan.trace] == [
+                astuple(d) for d in fresh.trace
+            ]
 
 
 class TestBaselines:
