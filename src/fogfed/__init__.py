@@ -7,7 +7,8 @@ The package is organised bottom-up:
 - ``federation``: fog grid topologies plus computation/transfer time matrices.
 - ``alloc``: the cache of completion PMFs and per-partition fog selection.
 - ``partition``: workflow partitioning (probabilistic and baseline cutters).
-- ``sim``: the discrete-event engine, workload generation and aggregation.
+- ``sim``: the per-cell run context, the discrete-event engine, workload
+  generation and aggregation.
 - ``cli``: scenario presets and the command line front end.
 """
 

@@ -18,7 +18,6 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
-from .alloc import CompletionModel
 from .federation import (
     MIPS_HI,
     MIPS_LO,
@@ -38,7 +37,7 @@ from .model import (
     to_monolithic,
 )
 from .partition import PartitionConfig
-from .sim import RunConfig, SimReport, WorkloadSpec, aggregate, run
+from .sim import Context, RunConfig, SimReport, WorkloadSpec, aggregate, run
 
 CSV_HEADER = (
     "scenario",
@@ -243,9 +242,6 @@ SUITES: dict[str, dict] = {
     ),
     "fig7_alloc_monolithic": dict(_MONO_GRID),
     "fig8_mixed": dict(_MONO_GRID, mix=0.5),
-    # same grids as fig5/fig7; these names select the makespan column
-    "fig9_makespan_workflows": dict(_WORKFLOW_GRID),
-    "fig10_makespan_monolithic": dict(_MONO_GRID),
     # scaling runs shrink the arrival window so federation size, not the
     # gateway alone, is the binding capacity
     "fig11_scaling_workflows": dict(
@@ -265,6 +261,14 @@ SUITES: dict[str, dict] = {
         neighbor_mips=2400.0,
     ),
 }
+
+# The makespan figures read the fig5/fig7 runs: an alias config takes its
+# target's name, so it gets the target's seeds and writes the target's CSV.
+SUITE_ALIASES = {
+    "fig9_makespan_workflows": "fig5_partitioning",
+    "fig10_makespan_monolithic": "fig7_alloc_monolithic",
+}
+SUITES.update({a: SUITES[t] for a, t in SUITE_ALIASES.items()})
 
 _FIELD_NAMES = {f.name for f in fields(Scenario)}
 # config objects whose keys become Scenario fields
@@ -299,7 +303,7 @@ def scenario_from_config(doc: dict) -> Scenario:
                 f"unknown suite {suite!r}; choose from {sorted(SUITES)}"
             )
         base = dict(SUITES[suite])
-        base["name"] = suite
+        base["name"] = SUITE_ALIASES.get(suite, suite)
     for key, names in _NESTED.items():
         sub = doc.pop(key, None)
         if sub is None:
@@ -341,8 +345,8 @@ def run_seed(scenario: Scenario, method: str, load: int, degree: int,
 # ----------------------------------------------------------- sweep execution
 
 
-def _build_context(scenario: Scenario, degree: int | None):
-    """Topology, matrices and templates for one (possibly per-degree) cell."""
+def _build_context(scenario: Scenario, degree: int | None) -> Context:
+    """The run context of one (possibly per-degree) cell."""
     if degree is None:
         topo = build_grid(
             scenario.width,
@@ -384,36 +388,22 @@ def _build_context(scenario: Scenario, degree: int | None):
     )
     ett = build_ett(topo, link, data, scenario.bin_width_ms)
     policy = DeadlinePolicy(scenario.epsilon_ms, scenario.comm_ms)
-    return {
-        "topo": topo,
-        "etc": etc,
-        "ett": ett,
-        "templates": templates,
-        "origin": origin,
-        "policy": policy,
-        "model": CompletionModel(etc, ett),
-        "plans": {},
-    }
+    return Context(topo, etc, ett, templates, policy, origin)
 
 
-def _cell_config(scenario: Scenario, ctx: dict, method: str,
+def _cell_config(scenario: Scenario, ctx: Context, method: str,
                  load: int) -> RunConfig:
     axis = PARTITION_AXIS if scenario.compare == "partition" else ALLOC_AXIS
     part_method, alloc_method = axis[method]
     return RunConfig(
         scenario=scenario.name,
         method=method,
-        topo=ctx["topo"],
-        etc=ctx["etc"],
-        ett=ctx["ett"],
-        templates=ctx["templates"],
+        ctx=ctx,
         workload=WorkloadSpec(load, scenario.mix, scenario.window_ms),
-        policy=ctx["policy"],
         partition_cfg=PartitionConfig(
             alpha=scenario.alpha, method=part_method
         ),
         alloc_method=alloc_method,
-        origin_fog=ctx["origin"],
         ci_level=scenario.ci_level,
     )
 
@@ -438,7 +428,7 @@ class _Runner:
         self.trace = trace
         self._contexts: dict = {}
 
-    def context(self, degree: int | None) -> dict:
+    def context(self, degree: int | None) -> Context:
         ctx = self._contexts.get(degree)
         if ctx is None:
             ctx = _build_context(self.scenario, degree)
@@ -447,19 +437,11 @@ class _Runner:
 
     def execute(self, task: tuple) -> tuple[SimReport, "list | None"]:
         method, load, degree, rep = task
-        ctx = self.context(degree)
-        cfg = _cell_config(self.scenario, ctx, method, load)
+        cfg = _cell_config(self.scenario, self.context(degree), method, load)
         seed = run_seed(self.scenario, method, load, degree or 0, rep)
         records: "list | None" = [] if self.trace else None
         sink = records.append if records is not None else None
-        report = run(
-            cfg,
-            seed,
-            trace_sink=sink,
-            model=ctx["model"],
-            plan_cache=ctx["plans"],
-        )
-        return report, records
+        return run(cfg, seed, trace_sink=sink), records
 
 
 _WORKER: "_Runner | None" = None
@@ -712,8 +694,10 @@ def cmd_report(args) -> int:
 
 def cmd_suites(_args) -> int:
     for name in sorted(SUITES):
-        preset = SUITES[name]
-        scenario = Scenario(name=name, **preset)
+        if name in SUITE_ALIASES:
+            print(f"{name}: alias of {SUITE_ALIASES[name]}")
+            continue
+        scenario = Scenario(name=name, **SUITES[name])
         axes = [
             f"methods={','.join(scenario.methods)}",
             f"loads={','.join(str(l) for l in scenario.loads)}",

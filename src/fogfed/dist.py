@@ -29,17 +29,22 @@ class NormalSpec:
     """Mean/std pair describing a latency or work profile before binning.
 
     Units are whatever the caller wants (ms for latencies, MI for work);
-    the mean must be positive, the deviation non-negative.
+    the mean must be positive, the deviation non-negative, both finite.
     """
 
     mean: float
     std: float
 
     def __post_init__(self) -> None:
-        if not self.mean > 0:
-            raise ValueError(f"NormalSpec.mean must be positive, got {self.mean}")
-        if self.std < 0:
-            raise ValueError(f"NormalSpec.std must be non-negative, got {self.std}")
+        if not 0 < self.mean < math.inf:
+            raise ValueError(
+                f"NormalSpec.mean must be positive and finite, got {self.mean}"
+            )
+        if not 0 <= self.std < math.inf:
+            raise ValueError(
+                "NormalSpec.std must be non-negative and finite, "
+                f"got {self.std}"
+            )
 
     def scaled(self, factor: float) -> "NormalSpec":
         """Scale both moments, e.g. MI -> ms via 1000 / MIPS."""

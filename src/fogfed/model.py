@@ -34,8 +34,10 @@ class MicroServiceSpec:
     location_pinned: bool = False
 
     def __post_init__(self) -> None:
-        if self.output_data < 0:
-            raise ValueError(f"output_data must be non-negative: {self.id}")
+        if not 0 <= self.output_data < math.inf:
+            raise ValueError(
+                f"output_data must be non-negative and finite: {self.id}"
+            )
 
 
 @dataclass(frozen=True)
@@ -47,8 +49,10 @@ class Edge:
     data_mb: float
 
     def __post_init__(self) -> None:
-        if self.data_mb < 0:
-            raise ValueError(f"edge data must be non-negative: {self}")
+        if not 0 <= self.data_mb < math.inf:
+            raise ValueError(
+                f"edge data must be non-negative and finite: {self}"
+            )
 
 
 @dataclass(frozen=True)
@@ -67,6 +71,10 @@ class WorkflowSpec:
     input_mb: float = 1.0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.input_mb < math.inf:
+            raise ValueError(
+                f"input_mb must be non-negative and finite: {self.input_mb}"
+            )
         by_id = {}
         for v in self.vertices:
             by_id[v.id] = v

@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 from .alloc import CompletionModel
 from .dist import prob_on_time
-from .model import Request, WorkflowSpec, topological_order
+from .model import Request, WorkflowSpec
 
 _SOURCE = "__source__"
 _SINK = "__sink__"
@@ -229,23 +229,22 @@ def baseline_mincut(w: WorkflowSpec) -> PartitionPlan:
 
 
 def baseline_least_data(w: WorkflowSpec) -> PartitionPlan:
-    """Bisect at the topological prefix with the least crossing data."""
+    """Bisect at the topological prefix with the least crossing data.
+
+    Every prefix of a topological order is ancestor-closed; ties go to the
+    shortest prefix.
+    """
     if len(w.vertices) < 2:
         return replace(no_partition(w), method="least_data")
-    order = topological_order(w)
-    best_k, best_mb = None, math.inf
-    for k in range(1, len(order)):
+    order = w.topo_order
+
+    def crossing(k: int) -> float:
         head = set(order[:k])
-        crossing = sum(
+        return sum(
             e.data_mb for e in w.edges if e.src in head and e.dst not in head
         )
-        back = any(e.src not in head and e.dst in head for e in w.edges)
-        if back:
-            continue
-        if crossing < best_mb:
-            best_k, best_mb = k, crossing
-    if best_k is None:
-        raise ValueError("workflow has no ancestor-closed prefix cut")
+
+    best_k = min(range(1, len(order)), key=crossing)
     parts = (
         w.induced(frozenset(order[:best_k])),
         w.induced(frozenset(order[best_k:])),
@@ -302,7 +301,7 @@ def propart(
             est_success.append(parent_p)
             return
         cut = min_cut(sub, _data_weights(sub))
-        order = topological_order(sub)
+        order = sub.topo_order
         side_s = tuple(v for v in order if v in cut.side_s)
         side_t = tuple(v for v in order if v in cut.side_t)
         p_s = _best_prob(model, side_s, sum(slacks[v] for v in side_s))
@@ -310,7 +309,7 @@ def propart(
         accepted = p_s > parent_p and p_t > parent_p
         trace.append(
             SplitDecision(
-                parent_vertices=tuple(order),
+                parent_vertices=order,
                 parent_p=parent_p,
                 side_s=side_s,
                 side_t=side_t,

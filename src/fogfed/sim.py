@@ -71,20 +71,54 @@ class WorkloadSpec:
 
 
 @dataclass(frozen=True, eq=False)
-class RunConfig:
-    """Everything one run needs; immutable and shareable across seeds."""
+class Context:
+    """One (scenario, degree) cell: its federation, tables and shared caches.
 
-    scenario: str
-    method: str
+    Built once per cell and read by every run of it.  The constructor
+    derives the completion model, each type's mean exec time (the E_i of
+    deadlines), each template's (workflow, monolithic) shape pair and the
+    plan cache.  ``plans`` maps a partition config to
+    ``{(id(spec), origin): (spec, plan, wiring)}``; plans depend only on
+    load-independent inputs, and holding the spec keeps its id unique.
+    """
+
     topo: FederationTopology
     etc: EtcMatrix
     ett: EttMatrix
     templates: tuple[WorkflowSpec, ...]
-    workload: WorkloadSpec
     policy: DeadlinePolicy
+    origin_fog: int = 0
+    model: CompletionModel = field(init=False)
+    mean_exec: dict[str, float] = field(init=False)
+    shapes: tuple[tuple[WorkflowSpec, WorkflowSpec], ...] = field(init=False)
+    plans: dict = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.topo.fog(self.origin_fog)
+        if not self.templates:
+            raise ValueError("need at least one application template")
+        derived = {
+            "model": CompletionModel(self.etc, self.ett),
+            "mean_exec": {
+                t: mean_exec_profile(self.etc, t) for t in self.etc.types()
+            },
+            "shapes": tuple((w, to_monolithic(w)) for w in self.templates),
+            "plans": {},
+        }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+
+@dataclass(frozen=True, eq=False)
+class RunConfig:
+    """One cell's run settings; immutable and shareable across seeds."""
+
+    scenario: str
+    method: str
+    ctx: Context
+    workload: WorkloadSpec
     partition_cfg: PartitionConfig
     alloc_method: str
-    origin_fog: int = 0
     ci_level: float = 0.95
 
     def __post_init__(self) -> None:
@@ -92,9 +126,6 @@ class RunConfig:
             raise ValueError(
                 f"unknown allocation method {self.alloc_method!r}"
             )
-        self.topo.fog(self.origin_fog)
-        if not self.templates:
-            raise ValueError("need at least one application template")
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,13 +152,7 @@ class SimReport:
 
 
 def generate_workload(
-    spec: WorkloadSpec,
-    seed: int,
-    *,
-    templates: tuple[WorkflowSpec, ...],
-    policy: DeadlinePolicy,
-    mean_exec: dict[str, float],
-    origin_fog: int = 0,
+    spec: WorkloadSpec, seed: int, ctx: Context
 ) -> list[Request]:
     """Seeded Poisson arrivals over the window; apps round-robin.
 
@@ -137,20 +162,18 @@ def generate_workload(
     """
     rng = np.random.default_rng([seed, 0])
     arrivals = np.sort(rng.uniform(0.0, spec.window_ms, spec.total_requests))
-    monos = {w.app: to_monolithic(w) for w in templates}
     requests = []
     for i in range(spec.total_requests):
-        template = templates[i % len(templates)]
+        workflow, mono = ctx.shapes[i % len(ctx.shapes)]
         is_mono = math.floor((i + 1) * spec.mix) > math.floor(i * spec.mix)
-        shape = monos[template.app] if is_mono else template
         requests.append(
             assign_deadlines(
-                shape,
+                mono if is_mono else workflow,
                 float(arrivals[i]),
-                policy,
-                mean_exec,
+                ctx.policy,
+                ctx.mean_exec,
                 request_id=i,
-                origin_fog=origin_fog,
+                origin_fog=ctx.origin_fog,
                 kind="monolithic" if is_mono else "workflow",
             )
         )
@@ -214,34 +237,20 @@ class _FogRuntime:
 
 
 class _Engine:
-    def __init__(
-        self,
-        cfg: RunConfig,
-        seed: int,
-        trace_sink=None,
-        model: "CompletionModel | None" = None,
-        plan_cache: "dict | None" = None,
-    ):
+    def __init__(self, cfg: RunConfig, seed: int, trace_sink=None):
         self.cfg = cfg
+        self.ctx = cfg.ctx
         self.rng = np.random.default_rng([seed, 1])
         self.trace = trace_sink
-        self.model = model if model is not None else CompletionModel(
-            cfg.etc, cfg.ett
-        )
         self.runtimes = {
             f.id: _FogRuntime([None] * f.node_count, f.node_count)
-            for f in cfg.topo.fogs
+            for f in self.ctx.topo.fogs
         }
-        # (plan, wiring) keyed (partition config, workflow shape, origin);
-        # shareable across runs because plans depend only on load-independent
-        # inputs
-        self._plans = plan_cache if plan_cache is not None else {}
-        # (id(spec), origin) -> (spec, (plan, wiring)): spares hashing the
-        # whole spec per request; holding the spec keeps its id unique
-        self._plan_of: dict[tuple[int, int], tuple] = {}
+        self._plans = self.ctx.plans.setdefault(cfg.partition_cfg, {})
+        # plan keys validated in this run: plan_violations counts per run
+        self._validated: set = set()
         # gateway -> (fog id, runtime) of the fogs its allocators read
         self._watched: dict[int, list] = {}
-        self._validated: set = set()
         self._heap: list = []
         self._seq = 0
         self._now = 0.0
@@ -266,7 +275,7 @@ class _Engine:
         """
         watched = self._watched.get(gateway)
         if watched is None:
-            fogs = (gateway, *self.cfg.topo.neighbors(gateway))
+            fogs = (gateway, *self.ctx.topo.neighbors(gateway))
             watched = [(fid, self.runtimes[fid]) for fid in fogs]
             self._watched[gateway] = watched
         now = self._now
@@ -277,26 +286,22 @@ class _Engine:
             waits[fid] = backlog / len(rt.busy_until)
         return QueueEstimate(waits)
 
-    def _plan_for(self, request: Request) -> tuple[PartitionPlan, _Wiring]:
-        memo = (id(request.spec), request.origin_fog)
-        seen = self._plan_of.get(memo)
-        if seen is not None:
-            return seen[1]
-        key = (self.cfg.partition_cfg, request.spec, request.origin_fog)
+    def _plan_for(self, request: Request) -> tuple:
+        """(spec, plan, wiring) of the request's shape at its origin."""
+        key = (id(request.spec), request.origin_fog)
         hit = self._plans.get(key)
         if hit is None:
             plan = build_plan(
                 self.cfg.partition_cfg,
                 request.spec,
-                model=self.model,
+                model=self.ctx.model,
                 request=request,
             )
-            hit = (plan, _wiring(plan, request.spec))
+            hit = (request.spec, plan, _wiring(plan, request.spec))
             self._plans[key] = hit
         if key not in self._validated:
-            self.plan_violations += len(validate_plan(hit[0], request.spec))
+            self.plan_violations += len(validate_plan(hit[1], request.spec))
             self._validated.add(key)
-        self._plan_of[memo] = (request.spec, hit)
         return hit
 
     def _allocate(
@@ -309,13 +314,13 @@ class _Engine:
             decisions = allocate_mr(
                 plan,
                 origin,
-                self.cfg.topo,
-                self.cfg.etc,
-                self.cfg.ett,
+                self.ctx.topo,
+                self.ctx.etc,
+                self.ctx.ett,
                 queues,
                 deadlines,
                 self.cfg.ci_level,
-                model=self.model,
+                model=self.ctx.model,
             )
         else:
             decisions = []
@@ -325,24 +330,24 @@ class _Engine:
                     d = allocate_mect(
                         part,
                         origin,
-                        self.cfg.topo,
-                        self.cfg.etc,
+                        self.ctx.topo,
+                        self.ctx.etc,
                         queues,
                         pinned=pinned,
                         partition_index=idx,
-                        model=self.model,
+                        model=self.ctx.model,
                     )
                 elif self.cfg.alloc_method == "mcc":
                     d = allocate_mcc(
                         part,
                         origin,
-                        self.cfg.topo,
-                        self.cfg.etc,
+                        self.ctx.topo,
+                        self.ctx.etc,
                         queues,
                         deadlines[idx],
                         pinned=pinned,
                         partition_index=idx,
-                        model=self.model,
+                        model=self.ctx.model,
                     )
                 else:
                     d = allocate_no_federation(
@@ -350,7 +355,7 @@ class _Engine:
                         origin,
                         queues=queues,
                         partition_index=idx,
-                        model=self.model,
+                        model=self.ctx.model,
                     )
                 decisions.append(d)
         for d in decisions:
@@ -364,7 +369,7 @@ class _Engine:
     # --------------------------------------------------------------- events
 
     def _on_arrival(self, request: Request) -> None:
-        plan, wiring = self._plan_for(request)
+        _spec, plan, wiring = self._plan_for(request)
         decisions = self._allocate(plan, request)
         origin = request.origin_fog
         self._exits_left[request.id] = wiring.exits
@@ -375,15 +380,15 @@ class _Engine:
                 request=request,
                 vertex_id=vid,
                 fog=fog,
-                mean_ms=self.cfg.etc.pmf(vid, fog).mean,
+                mean_ms=self.ctx.etc.pmf(vid, fog).mean,
                 missing=n_preds + int(entry_needs_transfer),
                 successors=successors,
             )
             self._instances[(request.id, vid)] = inst
             self.runtimes[fog].pending_mean_ms += inst.mean_ms
             if entry_needs_transfer:
-                hops = hop_distance(self.cfg.topo, origin, fog)
-                dur = sample(self.cfg.ett.pmf(vid, hops), self.rng)
+                hops = hop_distance(self.ctx.topo, origin, fog)
+                dur = sample(self.ctx.ett.pmf(vid, hops), self.rng)
                 self._push(self._now + dur, _TRANSFER, inst)
             elif n_preds == 0:
                 self._enqueue(inst)
@@ -409,7 +414,7 @@ class _Engine:
             # the lowest free node, so snapshot sums keep their order
             node = rt.busy_until.index(None)
             inst = rt.queue.popleft()
-            dur = sample(self.cfg.etc.pmf(inst.vertex_id, fog), self.rng)
+            dur = sample(self.ctx.etc.pmf(inst.vertex_id, fog), self.rng)
             until = self._now + dur
             if rt.busy_until[node] is not None:
                 raise RuntimeError(f"fog {fog} node {node} dispatched twice")
@@ -434,8 +439,8 @@ class _Engine:
                 if nxt.missing == 0:
                     self._enqueue(nxt)
             else:
-                hops = hop_distance(self.cfg.topo, fog, nxt.fog)
-                dur = sample(self.cfg.ett.pmf(succ, hops), self.rng)
+                hops = hop_distance(self.ctx.topo, fog, nxt.fog)
+                dur = sample(self.ctx.ett.pmf(succ, hops), self.rng)
                 self._push(self._now + dur, _TRANSFER, nxt)
         self._dispatch(fog)
 
@@ -472,7 +477,7 @@ class _Engine:
             method=self.cfg.method,
             requests=total,
             mix=self.cfg.workload.mix,
-            degree=self.cfg.topo.degree(self.cfg.origin_fog),
+            degree=self.ctx.topo.degree(self.ctx.origin_fog),
             seed=seed,
             meet_rate=met / total,
             avg_makespan_ms=float(np.mean(makespans)),
@@ -511,42 +516,16 @@ def _decision_record(now: float, request: Request, d: AllocationDecision):
 
 
 def simulate_requests(
-    cfg: RunConfig,
-    requests: list[Request],
-    seed: int,
-    trace_sink=None,
-    *,
-    model: "CompletionModel | None" = None,
-    plan_cache: "dict | None" = None,
+    cfg: RunConfig, requests: list[Request], seed: int, trace_sink=None
 ) -> SimReport:
     """Run the engine on an explicit request list (testing entry point)."""
-    engine = _Engine(cfg, seed, trace_sink, model=model, plan_cache=plan_cache)
-    return engine.run(requests, seed)
+    return _Engine(cfg, seed, trace_sink).run(requests, seed)
 
 
-def run(
-    cfg: RunConfig,
-    seed: int,
-    trace_sink=None,
-    *,
-    model: "CompletionModel | None" = None,
-    plan_cache: "dict | None" = None,
-) -> SimReport:
+def run(cfg: RunConfig, seed: int, trace_sink=None) -> SimReport:
     """Generate the seeded workload and simulate it to quiescence."""
-    mean_exec = {
-        t: mean_exec_profile(cfg.etc, t) for t in cfg.etc.types()
-    }
-    requests = generate_workload(
-        cfg.workload,
-        seed,
-        templates=cfg.templates,
-        policy=cfg.policy,
-        mean_exec=mean_exec,
-        origin_fog=cfg.origin_fog,
-    )
-    return simulate_requests(
-        cfg, requests, seed, trace_sink, model=model, plan_cache=plan_cache
-    )
+    requests = generate_workload(cfg.workload, seed, cfg.ctx)
+    return simulate_requests(cfg, requests, seed, trace_sink)
 
 
 def aggregate(reports: list[SimReport]) -> list[dict]:

@@ -28,7 +28,6 @@ from fogfed.federation import (
     build_etc,
     build_grid,
     build_ett,
-    mean_exec_profile,
 )
 from fogfed.model import (
     DeadlinePolicy,
@@ -42,7 +41,7 @@ from fogfed.partition import (
     min_cut,
     validate_plan,
 )
-from fogfed.sim import RunConfig, WorkloadSpec, simulate_requests
+from fogfed.sim import Context, RunConfig, WorkloadSpec, simulate_requests
 from fogfed.sim import _Engine
 
 # pinned thresholds, shared by the checks below
@@ -210,18 +209,17 @@ def test_partition_trace_contract(fig5_sweep, fig7_sweep, fig11_sweep, fig12_swe
     # direct checks on freshly built plans
     sc = scenario_from_config({"suite": "fig5_partitioning", "seed": 1234})
     ctx = _build_context(sc, None)
-    etc, model = ctx["etc"], ctx["model"]
-    mean_exec = {t: mean_exec_profile(etc, t) for t in etc.types()}
+    model = ctx.model
     accepted = rolled_back = 0
-    for tmpl in ctx["templates"]:
+    for tmpl in ctx.templates:
         for rid, arrival in enumerate((0.0, 7.0, 19.0)):
             req = assign_deadlines(
                 tmpl,
                 arrival,
-                ctx["policy"],
-                mean_exec,
+                ctx.policy,
+                ctx.mean_exec,
                 request_id=rid,
-                origin_fog=ctx["origin"],
+                origin_fog=ctx.origin_fog,
             )
             plan = build_plan(
                 PartitionConfig(alpha=0.5, method="propart"),
@@ -490,15 +488,10 @@ def test_engine_micro_oracle():
     cfg = RunConfig(
         scenario="micro",
         method="fifo",
-        topo=topo,
-        etc=etc,
-        ett=ett,
-        templates=(app,),
+        ctx=Context(topo, etc, ett, (app,), DeadlinePolicy(), origin_fog=0),
         workload=WorkloadSpec(10, 0.0, 1000.0),
-        policy=DeadlinePolicy(),
         partition_cfg=PartitionConfig(method="no_partition"),
         alloc_method="nofed",
-        origin_fog=0,
     )
     reqs = [
         assign_deadlines(

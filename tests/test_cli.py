@@ -419,6 +419,59 @@ def test_csv_write_read_round_trip(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "alias, target",
+    [
+        ("fig9_makespan_workflows", "fig5_partitioning"),
+        ("fig10_makespan_monolithic", "fig7_alloc_monolithic"),
+    ],
+)
+def test_alias_suite_writes_its_targets_csv(tmp_path, alias, target):
+    csvs = []
+    for suite in (alias, target):
+        cfg = tmp_path / f"{suite}.json"
+        cfg.write_text(json.dumps({
+            "suite": suite, "repetitions": 1, "loads": [4],
+            "window_ms": 300.0,
+        }))
+        out = tmp_path / f"{suite}.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out),
+                     "--parallel", "1"]) == 0
+        csvs.append(out.read_bytes())
+    assert csvs[0] == csvs[1]
+    assert f"\n{target},".encode() in csvs[0]
+
+
+@pytest.mark.parametrize(
+    "doc, builds",
+    [
+        # two partition configs (none, propart) x four workflow shapes
+        ({"suite": "fig5_partitioning", "methods": ["none", "propart"]}, 8),
+        # mr and mect share the propart config: four monolithic shapes
+        ({"suite": "fig7_alloc_monolithic", "methods": ["mr", "mect"]}, 4),
+    ],
+    ids=["fig5", "fig7"],
+)
+def test_plans_are_built_once_per_context(monkeypatch, doc, builds):
+    import fogfed.sim
+
+    calls = []
+    original = fogfed.sim.build_plan
+
+    def counting(cfg, w, **kw):
+        calls.append((cfg, w))
+        return original(cfg, w, **kw)
+
+    monkeypatch.setattr(fogfed.sim, "build_plan", counting)
+    scenario = scenario_from_config(
+        {**doc, "repetitions": 2, "loads": [4], "window_ms": 300.0}
+    )
+    reports, _ = run_sweep(scenario, parallel=1)
+    assert len(reports) == 4
+    assert len(calls) == builds
+    assert len({(cfg, id(w)) for cfg, w in calls}) == builds
+
+
 def test_suites_listing_stable(capsys):
     assert main(["suites"]) == 0
     first = capsys.readouterr().out
@@ -427,6 +480,8 @@ def test_suites_listing_stable(capsys):
     assert first == second
     for name in SUITES:
         assert name in first
+    assert "fig9_makespan_workflows: alias of fig5_partitioning" in first
+    assert "fig10_makespan_monolithic: alias of fig7_alloc_monolithic" in first
     assert "degrees=1,2,3,4" in first
     assert "loads=400,600,800,1000" in first
 

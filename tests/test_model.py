@@ -7,6 +7,7 @@ from fogfed.model import (
     APP_NAMES,
     APP_PROFILES,
     DeadlinePolicy,
+    Edge,
     MicroServiceSpec,
     Request,
     WorkflowSpec,
@@ -49,6 +50,43 @@ class TestValidation:
     def test_bare_edges_inherit_source_output(self):
         w = _w(("a", "b"), [("a", "b")])
         assert w.edges[0].data_mb == 1.0
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: NormalSpec(1.0, math.nan),
+            lambda: NormalSpec(1.0, math.inf),
+            lambda: NormalSpec(math.inf, 1.0),
+            lambda: Edge("x.a", "x.b", math.nan),
+            lambda: Edge("x.a", "x.b", math.inf),
+            lambda: MicroServiceSpec(
+                "x.a", "a", "x", NormalSpec(1.0, 0.1), math.inf
+            ),
+            lambda: MicroServiceSpec(
+                "x.a", "a", "x", NormalSpec(1.0, 0.1), math.nan
+            ),
+            lambda: _w(("a", "b"), [("a", "b", math.nan)]),
+            lambda: _w(("a",), [], input_mb=math.nan),
+            lambda: _w(("a",), [], input_mb=math.inf),
+            lambda: _w(("a",), [], input_mb=-1.0),
+        ],
+        ids=[
+            "std-nan",
+            "std-inf",
+            "mean-inf",
+            "edge-nan",
+            "edge-inf",
+            "output-inf",
+            "output-nan",
+            "bare-edge-nan",
+            "input-nan",
+            "input-inf",
+            "input-negative",
+        ],
+    )
+    def test_non_finite_or_negative_values_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
 
 
 class TestTopologicalOrder:
@@ -251,7 +289,7 @@ class TestInduced:
 
 
 def test_specs_are_hashable():
-    # plan memoization keys on the spec itself
+    # specs are frozen values: equal builds compare and hash equal
     w = builtin_app("fire")
     assert hash(w) == hash(builtin_app("fire"))
     assert builtin_app("fire") == builtin_app("fire")

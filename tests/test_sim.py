@@ -23,6 +23,7 @@ from fogfed.model import (
 )
 from fogfed.partition import PartitionConfig, baseline_mincut, no_partition
 from fogfed.sim import (
+    Context,
     RunConfig,
     SimReport,
     WorkloadSpec,
@@ -97,18 +98,16 @@ def make_cfg(
         grid_seed=grid_seed,
         hop_std=hop_std,
     )
+    ctx = Context(
+        topo, etc, ett, tuple(templates), policy or DeadlinePolicy(), origin
+    )
     return RunConfig(
         scenario=scenario,
         method=method,
-        topo=topo,
-        etc=etc,
-        ett=ett,
-        templates=tuple(templates),
+        ctx=ctx,
         workload=WorkloadSpec(total, mix, window),
-        policy=policy or DeadlinePolicy(),
         partition_cfg=PartitionConfig(alpha=alpha, method=partition_method),
         alloc_method=alloc,
-        origin_fog=origin,
     )
 
 
@@ -129,6 +128,14 @@ def test_run_config_rejects_unknown_allocator():
         make_cfg([unit_app()], alloc="greedy")
 
 
+def test_context_rejects_unknown_origin_and_empty_templates():
+    topo, etc, ett = build_context(2, 1, [unit_app()])
+    with pytest.raises(KeyError, match="unknown fog 2"):
+        Context(topo, etc, ett, (unit_app(),), DeadlinePolicy(), 2)
+    with pytest.raises(ValueError, match="template"):
+        Context(topo, etc, ett, (), DeadlinePolicy(), 0)
+
+
 # ----------------------------------------------------------------- workload
 
 
@@ -140,18 +147,12 @@ def four_apps():
 def app_context():
     templates = four_apps()
     topo, etc, ett = build_context(2, 1, templates, grid_seed=3)
-    mean_exec = {t: mean_exec_profile(etc, t) for t in etc.types()}
-    return templates, topo, etc, ett, mean_exec
+    return Context(topo, etc, ett, templates, DeadlinePolicy())
 
 
 def test_workload_four_requests_mix_zero_one_per_app(app_context):
-    templates, _, _, _, mean_exec = app_context
     reqs = generate_workload(
-        WorkloadSpec(4, mix=0.0, window_ms=1000.0),
-        seed=5,
-        templates=templates,
-        policy=DeadlinePolicy(),
-        mean_exec=mean_exec,
+        WorkloadSpec(4, mix=0.0, window_ms=1000.0), seed=5, ctx=app_context
     )
     assert [r.spec.app for r in reqs] == ["fire", "har", "oil", "aie"]
     assert all(r.kind == "workflow" for r in reqs)
@@ -159,13 +160,8 @@ def test_workload_four_requests_mix_zero_one_per_app(app_context):
 
 
 def test_workload_mix_half_splits_evenly(app_context):
-    templates, _, _, _, mean_exec = app_context
     reqs = generate_workload(
-        WorkloadSpec(100, mix=0.5, window_ms=10_000.0),
-        seed=5,
-        templates=templates,
-        policy=DeadlinePolicy(),
-        mean_exec=mean_exec,
+        WorkloadSpec(100, mix=0.5, window_ms=10_000.0), seed=5, ctx=app_context
     )
     kinds = [r.kind for r in reqs]
     assert kinds.count("monolithic") == 50
@@ -176,30 +172,21 @@ def test_workload_mix_half_splits_evenly(app_context):
         if r.kind == "monolithic":
             assert len(r.spec.vertices) == 1
             assert r.spec.vertices[0].id.endswith(".mono")
+        # the context's own shapes, so the plan cache keys on their ids
+        shapes = app_context.shapes[r.id % 4]
+        assert r.spec is shapes[r.kind == "monolithic"]
 
 
 def test_workload_mix_one_all_monolithic(app_context):
-    templates, _, _, _, mean_exec = app_context
     reqs = generate_workload(
-        WorkloadSpec(8, mix=1.0, window_ms=1000.0),
-        seed=2,
-        templates=templates,
-        policy=DeadlinePolicy(),
-        mean_exec=mean_exec,
+        WorkloadSpec(8, mix=1.0, window_ms=1000.0), seed=2, ctx=app_context
     )
     assert all(r.kind == "monolithic" for r in reqs)
 
 
 def test_workload_arrivals_sorted_inside_window(app_context):
-    templates, _, _, _, mean_exec = app_context
     spec = WorkloadSpec(50, mix=0.0, window_ms=2000.0)
-    reqs = generate_workload(
-        spec,
-        seed=11,
-        templates=templates,
-        policy=DeadlinePolicy(),
-        mean_exec=mean_exec,
-    )
+    reqs = generate_workload(spec, seed=11, ctx=app_context)
     arrivals = [r.arrival_ms for r in reqs]
     assert arrivals == sorted(arrivals)
     assert all(0.0 <= a <= spec.window_ms for a in arrivals)
@@ -207,14 +194,10 @@ def test_workload_arrivals_sorted_inside_window(app_context):
 
 
 def test_workload_seeded_determinism(app_context):
-    templates, _, _, _, mean_exec = app_context
-    kw = dict(
-        templates=templates, policy=DeadlinePolicy(), mean_exec=mean_exec
-    )
     spec = WorkloadSpec(20, mix=0.25, window_ms=500.0)
-    a = generate_workload(spec, seed=9, **kw)
-    b = generate_workload(spec, seed=9, **kw)
-    c = generate_workload(spec, seed=10, **kw)
+    a = generate_workload(spec, seed=9, ctx=app_context)
+    b = generate_workload(spec, seed=9, ctx=app_context)
+    c = generate_workload(spec, seed=10, ctx=app_context)
     assert [r.arrival_ms for r in a] == [r.arrival_ms for r in b]
     assert [r.workflow_deadline for r in a] == [r.workflow_deadline for r in b]
     assert [r.arrival_ms for r in a] != [r.arrival_ms for r in c]
@@ -224,10 +207,9 @@ def test_workload_seeded_determinism(app_context):
 
 
 def test_partition_deadlines_cover_whole_budget(app_context):
-    templates, _, _, _, mean_exec = app_context
-    fire = templates[0]
+    fire = app_context.templates[0]
     policy = DeadlinePolicy(epsilon_ms=15.0, mean_comm_ms=20.0)
-    req = assign_deadlines(fire, 100.0, policy, mean_exec)
+    req = assign_deadlines(fire, 100.0, policy, app_context.mean_exec)
     whole = no_partition(fire)
     budgets = partition_deadlines(whole, req)
     assert len(budgets) == 1
@@ -311,15 +293,12 @@ def test_mect_offloads_to_faster_neighbor():
     cfg = RunConfig(
         scenario="offload",
         method="mect",
-        topo=topo,
-        etc=etc,
-        ett=ett,
-        templates=tuple(templates),
+        ctx=Context(
+            topo, etc, ett, tuple(templates), DeadlinePolicy(), slow
+        ),
         workload=WorkloadSpec(1),
-        policy=DeadlinePolicy(),
         partition_cfg=PartitionConfig(method="no_partition"),
         alloc_method="mect",
-        origin_fog=slow,
     )
     policy = DeadlinePolicy()
     mean_exec = {"unit.stage": mean_exec_profile(etc, "unit.stage")}
@@ -340,15 +319,12 @@ def test_no_federation_never_offloads():
     cfg = RunConfig(
         scenario="nofed",
         method="nofed",
-        topo=topo,
-        etc=etc,
-        ett=ett,
-        templates=tuple(templates),
+        ctx=Context(
+            topo, etc, ett, tuple(templates), DeadlinePolicy(), slow
+        ),
         workload=WorkloadSpec(6, mix=0.0, window_ms=200.0),
-        policy=DeadlinePolicy(),
         partition_cfg=PartitionConfig(method="no_partition"),
         alloc_method="nofed",
-        origin_fog=slow,
     )
     report = run(cfg, seed=8)
     assert report.remote_assignments == 0
