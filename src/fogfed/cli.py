@@ -50,16 +50,13 @@ CSV_HEADER = (
     "avg_makespan_ms",
 )
 
-PARALLEL_ENV = "FOGFED_PARALLEL"
-
-# method label on the sweep axis -> (partitioning, allocator)
-PARTITION_AXIS = {
+# method label on the sweep axis -> (partitioning, allocator): the
+# partitioners allocate with mr, the allocators run on propart plans
+METHODS = {
     "none": ("no_partition", "mr"),
     "mincut": ("min_cut", "mr"),
     "leastdata": ("least_data", "mr"),
     "propart": ("propart", "mr"),
-}
-ALLOC_AXIS = {
     "mr": ("propart", "mr"),
     "mect": ("propart", "mect"),
     "mcc": ("propart", "mcc"),
@@ -75,12 +72,11 @@ class Scenario:
     """One experiment grid; every field is a plain value so runs pickle."""
 
     name: str
-    compare: str = "alloc"
     methods: tuple[str, ...] = ("mr", "mect", "mcc", "nofed")
     loads: tuple[int, ...] = (100, 200, 300, 400)
     degrees: tuple[int, ...] = ()
     repetitions: int = 30
-    master_seed: int = 1234
+    seed: int = 1234
     width: int = 3
     height: int = 3
     node_count: int = 8
@@ -104,12 +100,11 @@ class Scenario:
             value = getattr(self, name)
             if not valid(value):
                 raise ValueError(f"{name} must be {what}, got {value!r}")
-        axis = PARTITION_AXIS if self.compare == "partition" else ALLOC_AXIS
         _check_items(
             "methods",
             self.methods,
-            lambda m: isinstance(m, str) and m in axis,
-            f"the {self.compare} methods {sorted(axis)}",
+            lambda m: isinstance(m, str) and m in METHODS,
+            f"the methods {sorted(METHODS)}",
         )
         _check_items(
             "loads", self.loads, lambda n: _is_int(n) and n >= 1,
@@ -180,11 +175,8 @@ _UNIT = (lambda v: _is_real(v) and 0 <= v <= 1, "a number in [0, 1]")
 # Scenario field -> (test, what a valid value is), for every scalar field
 _FIELD_RULES = {
     "name": (lambda v: isinstance(v, str) and v != "", "a non-empty string"),
-    "compare": (
-        lambda v: v in ("partition", "alloc"), "'partition' or 'alloc'"
-    ),
     "repetitions": _at_least(1),
-    "master_seed": _at_least(0),
+    "seed": _at_least(0),
     "width": _at_least(1),
     "height": _at_least(1),
     "node_count": _at_least(1),
@@ -214,7 +206,6 @@ _FIELD_RULES = {
 # suites give the gateway the reference rating so holding work local stays
 # a live option for the allocators to weigh.
 _WORKFLOW_GRID = dict(
-    compare="partition",
     methods=("none", "mincut", "leastdata", "propart"),
     loads=(100, 200, 300, 400),
     mix=0.0,
@@ -223,7 +214,6 @@ _WORKFLOW_GRID = dict(
     origin_mips=1500.0,
 )
 _MONO_GRID = dict(
-    compare="alloc",
     methods=("mr", "mect", "mcc", "nofed"),
     loads=(400, 600, 800, 1000),
     mix=1.0,
@@ -237,7 +227,6 @@ SUITES: dict[str, dict] = {
     "fig5_partitioning": dict(_WORKFLOW_GRID),
     "fig6_alloc_workflows": dict(
         _WORKFLOW_GRID,
-        compare="alloc",
         methods=("mr", "mect", "mcc", "nofed"),
     ),
     "fig7_alloc_monolithic": dict(_MONO_GRID),
@@ -246,7 +235,6 @@ SUITES: dict[str, dict] = {
     # gateway alone, is the binding capacity
     "fig11_scaling_workflows": dict(
         _WORKFLOW_GRID,
-        compare="alloc",
         methods=("mr",),
         degrees=(1, 2, 3, 4),
         window_ms=10_500.0,
@@ -271,11 +259,6 @@ SUITE_ALIASES = {
 SUITES.update({a: SUITES[t] for a, t in SUITE_ALIASES.items()})
 
 _FIELD_NAMES = {f.name for f in fields(Scenario)}
-# config objects whose keys become Scenario fields
-_NESTED = {
-    "grid": ("width", "height"),
-    "link": ("bandwidth_mbps", "hop_mean_ms", "hop_std_ms"),
-}
 
 # Offsets applied to pinned neighbor ratings, in neighbor id order.  The
 # spread mirrors a typical uniform draw: mostly fast fogs plus one clearly
@@ -304,15 +287,6 @@ def scenario_from_config(doc: dict) -> Scenario:
             )
         base = dict(SUITES[suite])
         base["name"] = SUITE_ALIASES.get(suite, suite)
-    for key, names in _NESTED.items():
-        sub = doc.pop(key, None)
-        if sub is None:
-            continue
-        if not isinstance(sub, dict) or set(sub) != set(names):
-            raise ValueError(f"{key} must be an object with keys {names}")
-        base.update(sub)
-    if "seed" in doc:
-        base["master_seed"] = doc.pop("seed")
     unknown = set(doc) - _FIELD_NAMES
     if unknown:
         raise ValueError(f"unknown config fields: {sorted(unknown)}")
@@ -335,7 +309,7 @@ def run_seed(scenario: Scenario, method: str, load: int, degree: int,
     ``"mix": 1.0``) get equal seeds.
     """
     key = (
-        f"{scenario.name}|{scenario.master_seed}|{method}|{load}"
+        f"{scenario.name}|{scenario.seed}|{method}|{load}"
         f"|{float(scenario.mix)}|{degree}|{rep}"
     )
     digest = hashlib.sha256(key.encode()).digest()
@@ -351,14 +325,14 @@ def _build_context(scenario: Scenario, degree: int | None) -> Context:
         topo = build_grid(
             scenario.width,
             scenario.height,
-            scenario.master_seed,
+            scenario.seed,
             node_count=scenario.node_count,
         )
         origin = slowest_fog(topo)
     else:
         w, h, origin = DEGREE_GRIDS[degree]
         topo = build_grid(
-            w, h, scenario.master_seed, node_count=scenario.node_count
+            w, h, scenario.seed, node_count=scenario.node_count
         )
     if scenario.origin_mips is not None:
         topo = override_mips(topo, origin, scenario.origin_mips)
@@ -393,8 +367,7 @@ def _build_context(scenario: Scenario, degree: int | None) -> Context:
 
 def _cell_config(scenario: Scenario, ctx: Context, method: str,
                  load: int) -> RunConfig:
-    axis = PARTITION_AXIS if scenario.compare == "partition" else ALLOC_AXIS
-    part_method, alloc_method = axis[method]
+    part_method, alloc_method = METHODS[method]
     return RunConfig(
         scenario=scenario.name,
         method=method,
@@ -439,8 +412,15 @@ class _Runner:
         method, load, degree, rep = task
         cfg = _cell_config(self.scenario, self.context(degree), method, load)
         seed = run_seed(self.scenario, method, load, degree or 0, rep)
-        records: "list | None" = [] if self.trace else None
-        sink = records.append if records is not None else None
+        if not self.trace:
+            return run(cfg, seed), None
+        records: list = []
+        stamp = {"scenario": cfg.scenario, "run_method": method, "seed": seed}
+
+        def sink(rec: dict) -> None:
+            rec.update(stamp)
+            records.append(rec)
+
         return run(cfg, seed, trace_sink=sink), records
 
 
@@ -483,13 +463,7 @@ def run_sweep(
     for idx in range(len(tasks)):
         report, records = results[idx]
         reports.append(report)
-        if records:
-            for rec in records:
-                rec = dict(rec)
-                rec["scenario"] = report.scenario
-                rec["run_method"] = report.method
-                rec["seed"] = report.seed
-                trace_records.append(rec)
+        trace_records.extend(records or ())
     return reports, trace_records
 
 
@@ -639,18 +613,6 @@ def write_aggregate_csv(path: str, rows: list[dict]) -> None:
 # ---------------------------------------------------------------- commands
 
 
-def _default_parallel() -> int:
-    env = os.environ.get(PARALLEL_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(
-                f"{PARALLEL_ENV} must be an integer, got {env!r}"
-            ) from None
-    return os.cpu_count() or 1
-
-
 def cmd_simulate(args) -> int:
     try:
         with open(args.config) as fh:
@@ -659,13 +621,11 @@ def cmd_simulate(args) -> int:
     except (OSError, json.JSONDecodeError, ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    try:
-        if args.parallel < 0:
-            raise ValueError(f"--parallel must be >= 0, got {args.parallel}")
-        parallel = args.parallel if args.parallel else _default_parallel()
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    if args.parallel < 0:
+        print(f"error: --parallel must be >= 0, got {args.parallel}",
+              file=sys.stderr)
         return 2
+    parallel = args.parallel or os.cpu_count() or 1
     reports, trace_records = run_sweep(scenario, parallel, args.trace)
     write_csv(args.out, reports)
     if args.trace:
@@ -725,7 +685,7 @@ def main(argv=None) -> int:
         "--parallel",
         type=int,
         default=0,
-        help=f"worker processes; 0 means ${PARALLEL_ENV} or the core count",
+        help="worker processes; 0 means the core count",
     )
     p_sim.add_argument(
         "--trace",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,9 +106,6 @@ class WorkflowSpec:
                 return v
         raise KeyError(vid)
 
-    def predecessors(self, vid: str) -> list[str]:
-        return sorted(e.src for e in self.edges if e.dst == vid)
-
     def successors(self, vid: str) -> list[str]:
         return sorted(e.dst for e in self.edges if e.src == vid)
 
@@ -150,31 +148,19 @@ def structural_issues(
             issues.append(f"self-loop on {e.src}")
         else:
             clean.append(e)
-    # Kahn's algorithm detects cycles.
-    indeg = {i: 0 for i in known}
-    adj: dict[str, list[str]] = {i: [] for i in known}
-    for e in clean:
-        indeg[e.dst] += 1
-        adj[e.src].append(e.dst)
-    ready = [i for i, k in indeg.items() if k == 0]
-    seen = 0
-    while ready:
-        n = ready.pop()
-        seen += 1
-        for m in adj[n]:
-            indeg[m] -= 1
-            if indeg[m] == 0:
-                ready.append(m)
-    if seen != len(known):
+    if len(_kahn(known, clean)) != len(known):
         issues.append("cycle detected")
     return issues
 
 
-def topological_order(w: WorkflowSpec) -> list[str]:
-    """Kahn's algorithm; ties resolved by ascending vertex id."""
-    indeg = {v.id: 0 for v in w.vertices}
-    adj: dict[str, list[str]] = {v.id: [] for v in w.vertices}
-    for e in w.edges:
+def _kahn(ids: Iterable[str], edges: Iterable[Edge]) -> list[str]:
+    """Kahn's algorithm; ties resolved by ascending vertex id.
+
+    The vertices of a cycle, and those downstream of one, are left out.
+    """
+    indeg = {i: 0 for i in ids}
+    adj: dict[str, list[str]] = {i: [] for i in ids}
+    for e in edges:
         indeg[e.dst] += 1
         adj[e.src].append(e.dst)
     heap = [i for i, k in indeg.items() if k == 0]
@@ -187,6 +173,12 @@ def topological_order(w: WorkflowSpec) -> list[str]:
             indeg[m] -= 1
             if indeg[m] == 0:
                 heapq.heappush(heap, m)
+    return order
+
+
+def topological_order(w: WorkflowSpec) -> list[str]:
+    """Kahn's algorithm; ties resolved by ascending vertex id."""
+    order = _kahn([v.id for v in w.vertices], w.edges)
     if len(order) != len(w.vertices):
         raise ValueError("cycle detected")
     return order
@@ -379,7 +371,11 @@ def service_slacks(
 
 @dataclass(frozen=True, eq=False)
 class Request:
-    """One arriving unit of work, already stamped with deadlines."""
+    """One arriving unit of work, already stamped with deadlines.
+
+    ``slacks`` holds each stage's arrival-relative budget (see
+    ``service_slacks``); ``workflow_deadline`` is absolute.
+    """
 
     id: int
     arrival_ms: float
@@ -387,7 +383,7 @@ class Request:
     spec: WorkflowSpec
     origin_fog: int
     workflow_deadline: float
-    per_service_deadlines: dict[str, float]
+    slacks: dict[str, float]
 
     def __post_init__(self) -> None:
         if self.kind not in ("workflow", "monolithic"):
@@ -396,8 +392,8 @@ class Request:
             raise ValueError("arrival must be non-negative")
         if self.workflow_deadline <= self.arrival_ms:
             raise ValueError("workflow deadline must exceed the arrival time")
-        if any(d < self.arrival_ms for d in self.per_service_deadlines.values()):
-            raise ValueError("per-service deadline before arrival")
+        if any(s < 0 for s in self.slacks.values()):
+            raise ValueError("negative service slack")
 
 
 def assign_deadlines(
@@ -410,23 +406,19 @@ def assign_deadlines(
     origin_fog: int = 0,
     kind: str = "workflow",
 ) -> Request:
-    """Stamp a workflow with absolute deadlines at its arrival.
+    """Stamp a workflow with its deadlines at its arrival.
 
-    Every stage gets arrival + E_i + epsilon + d_c; the workflow deadline
-    adds up each stage's full budget, so the end-to-end slack grows with
-    the number of stages.
+    Every stage gets the slack E_i + epsilon + d_c; the workflow deadline is
+    the arrival plus every stage's slack, so the end-to-end budget grows
+    with the number of stages.
     """
     slacks = service_slacks(w, policy, mean_exec)
-    per_service = {
-        vid: arrival_ms + slack for vid, slack in slacks.items()
-    }
-    workflow_deadline = arrival_ms + sum(slacks.values())
     return Request(
         id=request_id,
         arrival_ms=arrival_ms,
         kind=kind,
         spec=w,
         origin_fog=origin_fog,
-        workflow_deadline=workflow_deadline,
-        per_service_deadlines=per_service,
+        workflow_deadline=arrival_ms + sum(slacks.values()),
+        slacks=slacks,
     )

@@ -273,14 +273,11 @@ def propart(
     parent's probability (sides judged by their best fog, computation
     latencies only), and the recursion continues on kept sides.
     """
-    slacks = {
-        vid: dl - request.arrival_ms
-        for vid, dl in request.per_service_deadlines.items()
-    }
+    slacks = request.slacks
     types = w.topo_order
-    delta = request.workflow_deadline - request.arrival_ms
     root_p = prob_on_time(
-        model.end_to_end(types, request.origin_fog, 0), delta
+        model.end_to_end(types, request.origin_fog, 0),
+        sum(slacks[v] for v in types),
     )
     if root_p >= cfg.alpha or len(w.vertices) == 1:
         return PartitionPlan(
@@ -340,8 +337,8 @@ def propart(
 def build_plan(
     cfg: PartitionConfig,
     w: WorkflowSpec,
-    model: "CompletionModel | None" = None,
-    request: "Request | None" = None,
+    model: CompletionModel,
+    request: Request,
 ) -> PartitionPlan:
     """Dispatch on the configured method."""
     if cfg.method == "no_partition":
@@ -350,8 +347,6 @@ def build_plan(
         return baseline_mincut(w)
     if cfg.method == "least_data":
         return baseline_least_data(w)
-    if model is None or request is None:
-        raise ValueError("propart needs a completion model and a request")
     return propart(w, model, request, cfg)
 
 

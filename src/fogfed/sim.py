@@ -184,9 +184,9 @@ def partition_deadlines(
     plan: PartitionPlan, request: Request
 ) -> tuple[float, ...]:
     """Arrival-relative budget of each partition: sum of member slacks."""
-    dl, arrival = request.per_service_deadlines, request.arrival_ms
+    slacks = request.slacks
     return tuple(
-        sum(dl[v.id] - arrival for v in p.vertices) for p in plan.partitions
+        sum(slacks[v.id] for v in p.vertices) for p in plan.partitions
     )
 
 

@@ -1,6 +1,8 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,8 @@ from fogfed.cli import (
     DEGREE_GRIDS,
     SUITES,
     Scenario,
+    _build_context,
+    _cell_config,
     main,
     method_deltas,
     read_csv,
@@ -84,16 +88,15 @@ def test_scenario_from_suite_with_overrides():
     assert s.epsilon_ms == 15.0
 
 
-def test_scenario_nested_config_keys():
+def test_scenario_flat_config_keys():
     s = scenario_from_config(
         {
             "name": "custom",
-            "grid": {"width": 2, "height": 2},
-            "link": {
-                "bandwidth_mbps": 500.0,
-                "hop_mean_ms": 10.0,
-                "hop_std_ms": 2.0,
-            },
+            "width": 2,
+            "height": 2,
+            "bandwidth_mbps": 500.0,
+            "hop_mean_ms": 10.0,
+            "hop_std_ms": 2.0,
             "seed": 77,
             "bin_width_ms": 2.0,
             "reference_mips": 1000.0,
@@ -102,7 +105,8 @@ def test_scenario_nested_config_keys():
     assert (s.width, s.height) == (2, 2)
     assert s.bandwidth_mbps == 500.0
     assert s.hop_mean_ms == 10.0
-    assert s.master_seed == 77
+    assert s.hop_std_ms == 2.0
+    assert s.seed == 77
     assert s.bin_width_ms == 2.0
     assert s.reference_mips == 1000.0
 
@@ -116,13 +120,87 @@ def test_scenario_rejects_unknown_fields_and_suites():
         scenario_from_config({"loads": [10]})
 
 
+def test_config_keys_are_suite_and_the_scenario_fields():
+    default = Scenario(name="x")
+    doc = json.loads(json.dumps(default.__dict__))
+    assert set(doc) == set(Scenario.__dataclass_fields__)
+    assert "compare" not in doc and "seed" in doc
+    assert scenario_from_config(doc) == default
+    assert scenario_from_config({**doc, "suite": "fig8_mixed"}) == default
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("compare", "alloc"),
+        ("grid", {"width": 3, "height": 3}),
+        ("link", {"bandwidth_mbps": 300.0, "hop_mean_ms": 20.0,
+                  "hop_std_ms": 5.0}),
+        ("master_seed", 2),
+    ],
+    ids=["compare", "grid", "link", "master_seed"],
+)
+def test_removed_config_keys_are_one_line_errors(
+    tmp_path, capsys, key, value
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config(**{key: value})))
+    out = tmp_path / "out.csv"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: unknown config fields: ['{key}']\n"
+    assert not out.exists()
+
+
+def test_readme_json_configs_parse():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) >= 2
+    for block in blocks:
+        assert isinstance(scenario_from_config(json.loads(block)), Scenario)
+
+
+# suite label -> (PartitionConfig.method, alloc_method): partitioning
+# suites allocate with mr, allocation suites run on propart plans
+_PARTITION_LABELS = {
+    "none": ("no_partition", "mr"),
+    "mincut": ("min_cut", "mr"),
+    "leastdata": ("least_data", "mr"),
+    "propart": ("propart", "mr"),
+}
+_ALLOC_LABELS = {m: ("propart", m) for m in ("mr", "mect", "mcc", "nofed")}
+_SUITE_LABELS = {
+    "fig5_partitioning": _PARTITION_LABELS,
+    "fig9_makespan_workflows": _PARTITION_LABELS,
+    "fig6_alloc_workflows": _ALLOC_LABELS,
+    "fig7_alloc_monolithic": _ALLOC_LABELS,
+    "fig10_makespan_monolithic": _ALLOC_LABELS,
+    "fig8_mixed": _ALLOC_LABELS,
+    "fig11_scaling_workflows": {"mr": _ALLOC_LABELS["mr"]},
+    "fig12_scaling_monolithic": {
+        m: _ALLOC_LABELS[m] for m in ("mr", "mect", "mcc")
+    },
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_LABELS))
+def test_suite_labels_run_their_partitioner_and_allocator(suite):
+    s = scenario_from_config({"suite": suite})
+    expected = _SUITE_LABELS[suite]
+    assert set(s.methods) == set(expected)
+    ctx = _build_context(s, s.degrees[0] if s.degrees else None)
+    for method in s.methods:
+        cfg = _cell_config(s, ctx, method, s.loads[0])
+        assert (cfg.partition_cfg.method, cfg.alloc_method) == expected[method]
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         Scenario(name="x", repetitions=0)
     with pytest.raises(ValueError):
         Scenario(name="x", loads=())
     with pytest.raises(ValueError):
-        Scenario(name="x", compare="partition", methods=("mr",))
+        Scenario(name="x", methods=("magic",))
     with pytest.raises(ValueError):
         Scenario(name="x", degrees=(5,))
     with pytest.raises(ValueError):
@@ -144,9 +222,9 @@ def test_scenario_validation_rejects_bad_types_and_ranges():
         scenario_from_config(tiny_config(neighbor_mips=2000.0))
     with pytest.raises(ValueError, match="neighbor_mips"):
         scenario_from_config(tiny_config(neighbor_mips="2400"))
-    with pytest.raises(ValueError, match="grid"):
-        scenario_from_config({"name": "x", "grid": {"width": 2}})
-    with pytest.raises(ValueError, match="master_seed"):
+    with pytest.raises(ValueError, match="width"):
+        scenario_from_config({"name": "x", "width": 0})
+    with pytest.raises(ValueError, match="seed"):
         scenario_from_config(tiny_config(seed="7"))
     with pytest.raises(ValueError, match="degrees"):
         scenario_from_config(tiny_config(degrees=[[1]]))
@@ -168,7 +246,7 @@ def test_scenario_validation_rejects_bad_types_and_ranges():
 def test_neighbor_mips_checks_only_the_pins_that_can_apply(
     grid, degrees, accepted
 ):
-    doc = tiny_config(neighbor_mips=2460.0, grid=grid)
+    doc = tiny_config(neighbor_mips=2460.0, **grid)
     if degrees is not None:
         doc["degrees"] = degrees
     if accepted:
@@ -178,8 +256,9 @@ def test_neighbor_mips_checks_only_the_pins_that_can_apply(
             scenario_from_config(doc)
 
 
+# the removed spellings stay in the key set: they must fail cleanly
 _CONFIG_KEYS = sorted(
-    {"suite", "grid", "link", "seed", "junk"}
+    {"suite", "compare", "grid", "link", "master_seed", "junk"}
     | {f for f in Scenario.__dataclass_fields__}
 )
 _json_values = st.recursive(
@@ -226,7 +305,7 @@ def test_run_seeds_injective_over_sweep():
     s2 = Scenario(
         name="fig11", **{**SUITES["fig11_scaling_workflows"]}
     )
-    bumped = Scenario(name="fig11", master_seed=99,
+    bumped = Scenario(name="fig11", seed=99,
                       **SUITES["fig11_scaling_workflows"])
     assert run_seed(s2, "mr", 100, 1, 0) != run_seed(bumped, "mr", 100, 1, 0)
 
@@ -340,17 +419,25 @@ def test_simulate_rejects_negative_parallel(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_simulate_rejects_non_integer_parallel_env(
-    tmp_path, capsys, monkeypatch
-):
+def test_simulate_parallel_zero_means_core_count(tmp_path, monkeypatch):
+    import fogfed.cli
+
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(tiny_config()))
+    cfg.write_text(json.dumps(tiny_config(methods=["mr"], repetitions=1)))
     out = tmp_path / "out.csv"
-    monkeypatch.setenv("FOGFED_PARALLEL", "abc")
-    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: FOGFED_PARALLEL must be an integer, got 'abc'\n"
-    assert not out.exists()
+    seen = []
+    original = fogfed.cli.run_sweep
+
+    def spy(scenario, parallel, trace):
+        seen.append(parallel)
+        return original(scenario, 1, trace)
+
+    monkeypatch.setattr(fogfed.cli, "run_sweep", spy)
+    monkeypatch.setattr(fogfed.cli.os, "cpu_count", lambda: 3)
+    args = ["simulate", "--config", str(cfg), "--out", str(out)]
+    assert main(args) == 0
+    assert main(args + ["--parallel", "2"]) == 0
+    assert seen == [3, 2]
 
 
 def test_simulate_trace_writes_jsonl(tmp_path):

@@ -162,10 +162,10 @@ def _model_two_fogs(types, slow_ms, fast_ms):
 
 
 def _request(w, slack_per_vertex, arrival=0.0):
-    per = {v.id: arrival + slack_per_vertex for v in w.vertices}
+    slacks = {v.id: slack_per_vertex for v in w.vertices}
     total = slack_per_vertex * len(w.vertices)
     return Request(
-        0, arrival, "workflow", w, 0, arrival + total, per
+        0, arrival, "workflow", w, 0, arrival + total, slacks
     )
 
 
@@ -330,19 +330,25 @@ class TestBaselines:
 
     def test_build_plan_dispatch(self):
         w = builtin_app("oil")
+        model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
+        req = _request(w, 50.0)
         for method, parts in (
             ("no_partition", 1),
             ("min_cut", 2),
             ("least_data", 2),
         ):
-            plan = build_plan(PartitionConfig(method=method), w)
+            plan = build_plan(PartitionConfig(method=method), w, model, req)
             assert plan.method == method
             assert len(plan.partitions) == parts
             assert validate_plan(plan, w) == []
+        cfg = PartitionConfig(method="propart")
+        plan = build_plan(cfg, w, model, req)
+        assert plan.partitions == propart(w, model, req, cfg).partitions
 
     def test_build_plan_propart_needs_inputs(self):
+        # every method takes the model and request the engine passes
         w = builtin_app("oil")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_plan(PartitionConfig(method="propart"), w)
 
 

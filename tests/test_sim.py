@@ -241,7 +241,7 @@ def test_single_request_impossible_deadline_misses():
         spec=unit_app(),
         origin_fog=0,
         workflow_deadline=10.5,
-        per_service_deadlines={"unit.stage": 10.5},
+        slacks={"unit.stage": 0.5},
     )
     report = simulate_requests(cfg, [req], seed=1)
     assert report.meet_rate == 0.0
