@@ -45,8 +45,13 @@ REASONS = (
     "local_no_positive_certainty",
 )
 
+# The records below are built once per request or per examined candidate,
+# so they are slotted rather than frozen (a frozen constructor sets each
+# field through ``object.__setattr__``).  Nothing changes a record after
+# it is built.
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(slots=True, eq=False)
 class QueueEstimate:
     """Expected wait in ms per fog before a new task reaches a node."""
 
@@ -61,7 +66,7 @@ class QueueEstimate:
         return self.waits.get(fog_id, 0.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class CandidateRecord:
     """One examined fog: bookkeeping for traces and contract checks."""
 
@@ -75,7 +80,7 @@ class CandidateRecord:
     certainty: float = math.nan
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class AllocationDecision:
     method: str
     partition_index: int

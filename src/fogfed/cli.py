@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
@@ -319,8 +320,14 @@ def run_seed(scenario: Scenario, method: str, load: int, degree: int,
 # ----------------------------------------------------------- sweep execution
 
 
-def _build_context(scenario: Scenario, degree: int | None) -> Context:
-    """The run context of one (possibly per-degree) cell."""
+def _build_context(
+    scenario: Scenario, degree: int | None, binned: "dict | None" = None
+) -> Context:
+    """The run context of one (possibly per-degree) cell.
+
+    ``binned`` is ``build_etc``'s memo of binned normals; cells of one
+    sweep share it.
+    """
     if degree is None:
         topo = build_grid(
             scenario.width,
@@ -355,7 +362,7 @@ def _build_context(scenario: Scenario, degree: int | None) -> Context:
             for v in shape.vertices:
                 profiles[v.id] = v.work.scaled(scale)
             data.update(incoming_data_mb(shape))
-    etc = build_etc(topo, profiles, scenario.bin_width_ms)
+    etc = build_etc(topo, profiles, scenario.bin_width_ms, binned)
     link = LinkProfile(
         scenario.bandwidth_mbps,
         NormalSpec(scenario.hop_mean_ms, scenario.hop_std_ms),
@@ -400,11 +407,13 @@ class _Runner:
         self.scenario = scenario
         self.trace = trace
         self._contexts: dict = {}
+        # (NormalSpec, bin width) -> LatencyPmf, shared by the contexts
+        self._binned: dict = {}
 
     def context(self, degree: int | None) -> Context:
         ctx = self._contexts.get(degree)
         if ctx is None:
-            ctx = _build_context(self.scenario, degree)
+            ctx = _build_context(self.scenario, degree, self._binned)
             self._contexts[degree] = ctx
         return ctx
 
@@ -432,36 +441,39 @@ def _init_worker(scenario: Scenario, trace: bool) -> None:
     _WORKER = _Runner(scenario, trace)
 
 
-def _run_task(indexed_task: tuple) -> tuple[int, SimReport, "list | None"]:
-    idx, task = indexed_task
-    report, records = _WORKER.execute(task)
-    return idx, report, records
+def _run_task(task: tuple) -> tuple[SimReport, "list | None"]:
+    return _WORKER.execute(task)
+
+
+def iter_sweep(
+    scenario: Scenario, parallel: int = 1, trace: bool = False
+) -> Iterator[tuple[SimReport, "list | None"]]:
+    """Each run's ``(report, trace records or None)``, in task order.
+
+    A run is yielded as soon as it and every run before it have finished,
+    so a caller can write each run's records and then drop them.
+    """
+    tasks = sweep_tasks(scenario)
+    if parallel <= 1 or len(tasks) == 1:
+        runner = _Runner(scenario, trace)
+        for task in tasks:
+            yield runner.execute(task)
+        return
+    with ProcessPoolExecutor(
+        max_workers=parallel,
+        initializer=_init_worker,
+        initargs=(scenario, trace),
+    ) as pool:
+        yield from pool.map(_run_task, tasks, chunksize=4)
 
 
 def run_sweep(
     scenario: Scenario, parallel: int = 1, trace: bool = False
 ) -> tuple[list[SimReport], list]:
     """All runs of the sweep, in deterministic task order."""
-    tasks = sweep_tasks(scenario)
-    results: dict[int, tuple[SimReport, "list | None"]] = {}
-    if parallel <= 1 or len(tasks) == 1:
-        runner = _Runner(scenario, trace)
-        for idx, task in enumerate(tasks):
-            results[idx] = runner.execute(task)
-    else:
-        with ProcessPoolExecutor(
-            max_workers=parallel,
-            initializer=_init_worker,
-            initargs=(scenario, trace),
-        ) as pool:
-            for idx, report, records in pool.map(
-                _run_task, enumerate(tasks), chunksize=4
-            ):
-                results[idx] = (report, records)
     reports = []
     trace_records = []
-    for idx in range(len(tasks)):
-        report, records = results[idx]
+    for report, records in iter_sweep(scenario, parallel, trace):
         reports.append(report)
         trace_records.extend(records or ())
     return reports, trace_records
@@ -626,14 +638,29 @@ def cmd_simulate(args) -> int:
               file=sys.stderr)
         return 2
     parallel = args.parallel or os.cpu_count() or 1
-    reports, trace_records = run_sweep(scenario, parallel, args.trace)
+    trace_path = args.out + ".trace.jsonl"
+    # an unwritable output fails here, before any run starts
+    try:
+        open(args.out, "w").close()
+        trace_fh = open(trace_path, "w") if args.trace else None
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    reports = []
+    n_records = 0
+    try:
+        for report, records in iter_sweep(scenario, parallel, args.trace):
+            reports.append(report)
+            if trace_fh is not None:
+                for rec in records:
+                    trace_fh.write(json.dumps(rec, sort_keys=True) + "\n")
+                n_records += len(records)
+    finally:
+        if trace_fh is not None:
+            trace_fh.close()
     write_csv(args.out, reports)
     if args.trace:
-        trace_path = args.out + ".trace.jsonl"
-        with open(trace_path, "w") as fh:
-            for rec in trace_records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        print(f"wrote {len(trace_records)} decision records to {trace_path}")
+        print(f"wrote {n_records} decision records to {trace_path}")
     print(f"wrote {len(reports)} rows to {args.out}")
     return 0
 
@@ -645,6 +672,12 @@ def cmd_report(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"report error: {exc}", file=sys.stderr)
         return 2
+    if args.out:
+        try:
+            open(args.out, "w").close()
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
     deltas = method_deltas(rows)
     print(format_report(rows, deltas))
     if args.out:

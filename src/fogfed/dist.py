@@ -51,9 +51,14 @@ class NormalSpec:
         return NormalSpec(self.mean * factor, self.std * factor)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CiInterval:
-    """Central confidence interval of a latency distribution."""
+    """Central confidence interval of a latency distribution.
+
+    Slotted rather than frozen, since one is built per examined candidate
+    (see the decision records in ``fogfed.alloc``); never changed after it
+    is built.
+    """
 
     lo: float
     hi: float

@@ -195,17 +195,32 @@ def build_etc(
     topo: FederationTopology,
     profiles: dict[str, NormalSpec],
     bin_width: float = 1.0,
+    binned: "dict[tuple[NormalSpec, float], LatencyPmf] | None" = None,
 ) -> EtcMatrix:
-    """Work in MI divided by fog speed gives latency in ms."""
+    """Work in MI divided by fog speed gives latency in ms.
+
+    ``binned`` maps ``(NormalSpec, bin_width)`` to its PMF.  Pass one dict
+    to every context of a sweep and each distinct normal is binned once.
+    Only the misses are binned, in one ``pmfs_from_normal`` pass, which
+    gives each spec the same array as binning it alone.
+    """
     if not profiles:
         raise ValueError("profiles must be non-empty")
+    if binned is None:
+        binned = {}
     specs = {
         (mtype, f.id): work.scaled(1000.0 / f.node_mips)
         for mtype, work in profiles.items()
         for f in topo.fogs
     }
-    pmfs = pmfs_from_normal(list(specs.values()), bin_width)
-    entries = dict(zip(specs, pmfs))
+    misses = list(
+        dict.fromkeys(
+            s for s in specs.values() if (s, bin_width) not in binned
+        )
+    )
+    for spec, pmf in zip(misses, pmfs_from_normal(misses, bin_width)):
+        binned[(spec, bin_width)] = pmf
+    entries = {key: binned[(s, bin_width)] for key, s in specs.items()}
     return EtcMatrix(bin_width, entries, specs)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -369,12 +369,15 @@ def service_slacks(
 # --------------------------------------------------------------- requests
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(slots=True, eq=False)
 class Request:
     """One arriving unit of work, already stamped with deadlines.
 
     ``slacks`` holds each stage's arrival-relative budget (see
-    ``service_slacks``); ``workflow_deadline`` is absolute.
+    ``service_slacks``); ``workflow_deadline`` is absolute.  Requests of
+    one shape may share one ``slacks`` mapping.  Slotted rather than
+    frozen, since a run builds one per arrival; never changed after it is
+    built.
     """
 
     id: int
@@ -383,7 +386,7 @@ class Request:
     spec: WorkflowSpec
     origin_fog: int
     workflow_deadline: float
-    slacks: dict[str, float]
+    slacks: Mapping[str, float]
 
     def __post_init__(self) -> None:
         if self.kind not in ("workflow", "monolithic"):
@@ -399,8 +402,7 @@ class Request:
 def assign_deadlines(
     w: WorkflowSpec,
     arrival_ms: float,
-    policy: DeadlinePolicy,
-    mean_exec: dict[str, float],
+    slacks: Mapping[str, float],
     *,
     request_id: int = 0,
     origin_fog: int = 0,
@@ -408,11 +410,11 @@ def assign_deadlines(
 ) -> Request:
     """Stamp a workflow with its deadlines at its arrival.
 
-    Every stage gets the slack E_i + epsilon + d_c; the workflow deadline is
-    the arrival plus every stage's slack, so the end-to-end budget grows
-    with the number of stages.
+    ``slacks`` is the shape's ``service_slacks``: every stage gets the slack
+    E_i + epsilon + d_c.  The workflow deadline is the arrival plus every
+    stage's slack, so the end-to-end budget grows with the number of
+    stages.  The request keeps ``slacks`` itself, not a copy.
     """
-    slacks = service_slacks(w, policy, mean_exec)
     return Request(
         id=request_id,
         arrival_ms=arrival_ms,

@@ -13,6 +13,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .model import (
     Request,
     WorkflowSpec,
     assign_deadlines,
+    service_slacks,
     to_monolithic,
 )
 from .partition import (
@@ -80,6 +82,8 @@ class Context:
     plan cache.  ``plans`` maps a partition config to
     ``{(id(spec), origin): (spec, plan, wiring)}``; plans depend only on
     load-independent inputs, and holding the spec keeps its id unique.
+    ``slacks`` maps ``id(spec)`` to ``(spec, read-only slacks)`` the same
+    way; see ``shape_slacks``.
     """
 
     topo: FederationTopology
@@ -91,6 +95,7 @@ class Context:
     model: CompletionModel = field(init=False)
     mean_exec: dict[str, float] = field(init=False)
     shapes: tuple[tuple[WorkflowSpec, WorkflowSpec], ...] = field(init=False)
+    slacks: dict = field(init=False)
     plans: dict = field(init=False)
 
     def __post_init__(self) -> None:
@@ -103,10 +108,25 @@ class Context:
                 t: mean_exec_profile(self.etc, t) for t in self.etc.types()
             },
             "shapes": tuple((w, to_monolithic(w)) for w in self.templates),
+            "slacks": {},
             "plans": {},
         }
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+
+    def shape_slacks(self, spec: WorkflowSpec) -> MappingProxyType:
+        """Read-only ``service_slacks`` of ``spec``, computed once.
+
+        Computed on first use rather than in the constructor: a context
+        may hold a shape its ETC has no entry for, such as a monolithic
+        shape no request takes.
+        """
+        hit = self.slacks.get(id(spec))
+        if hit is None:
+            slacks = service_slacks(spec, self.policy, self.mean_exec)
+            hit = (spec, MappingProxyType(slacks))
+            self.slacks[id(spec)] = hit
+        return hit[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,6 +179,7 @@ def generate_workload(
     Conditioned on the request count, Poisson arrival times are uniform
     order statistics, so the window is filled with sorted uniform draws.
     The monolithic flag interleaves deterministically at the given mix.
+    Requests of one shape share the context's slacks mapping.
     """
     rng = np.random.default_rng([seed, 0])
     arrivals = np.sort(rng.uniform(0.0, spec.window_ms, spec.total_requests))
@@ -166,12 +187,12 @@ def generate_workload(
     for i in range(spec.total_requests):
         workflow, mono = ctx.shapes[i % len(ctx.shapes)]
         is_mono = math.floor((i + 1) * spec.mix) > math.floor(i * spec.mix)
+        shape = mono if is_mono else workflow
         requests.append(
             assign_deadlines(
-                mono if is_mono else workflow,
+                shape,
                 float(arrivals[i]),
-                ctx.policy,
-                ctx.mean_exec,
+                ctx.shape_slacks(shape),
                 request_id=i,
                 origin_fog=ctx.origin_fog,
                 kind="monolithic" if is_mono else "workflow",
@@ -218,7 +239,7 @@ def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
     )
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class _Instance:
     request: Request
     vertex_id: str
@@ -228,7 +249,7 @@ class _Instance:
     successors: tuple[str, ...]
 
 
-@dataclass(eq=False)
+@dataclass(slots=True, eq=False)
 class _FogRuntime:
     busy_until: list
     free: int
@@ -249,6 +270,9 @@ class _Engine:
         self._plans = self.ctx.plans.setdefault(cfg.partition_cfg, {})
         # plan keys validated in this run: plan_violations counts per run
         self._validated: set = set()
+        # (plan key, id(slacks)) -> (slacks, partition budgets); holding
+        # the slacks keeps its id unique for the run
+        self._budgets: dict = {}
         # gateway -> (fog id, runtime) of the fogs its allocators read
         self._watched: dict[int, list] = {}
         self._heap: list = []
@@ -281,7 +305,7 @@ class _Engine:
         now = self._now
         waits = {}
         for fid, rt in watched:
-            running = sum(u - now for u in rt.busy_until if u is not None)
+            running = sum([u - now for u in rt.busy_until if u is not None])
             backlog = rt.pending_mean_ms + running
             waits[fid] = backlog / len(rt.busy_until)
         return QueueEstimate(waits)
@@ -304,11 +328,23 @@ class _Engine:
             self._validated.add(key)
         return hit
 
+    def _deadlines(
+        self, plan: PartitionPlan, request: Request
+    ) -> tuple[float, ...]:
+        """``partition_deadlines``, once per plan and slacks mapping a run."""
+        slacks = request.slacks
+        key = (id(request.spec), request.origin_fog, id(slacks))
+        hit = self._budgets.get(key)
+        if hit is None:
+            hit = (slacks, partition_deadlines(plan, request))
+            self._budgets[key] = hit
+        return hit[1]
+
     def _allocate(
         self, plan: PartitionPlan, request: Request
     ) -> list[AllocationDecision]:
         queues = self._queue_snapshot(request.origin_fog)
-        deadlines = partition_deadlines(plan, request)
+        deadlines = self._deadlines(plan, request)
         origin = request.origin_fog
         if self.cfg.alloc_method == "mr":
             decisions = allocate_mr(

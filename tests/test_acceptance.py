@@ -34,6 +34,7 @@ from fogfed.model import (
     MicroServiceSpec,
     WorkflowSpec,
     assign_deadlines,
+    service_slacks,
 )
 from fogfed.partition import (
     PartitionConfig,
@@ -216,8 +217,7 @@ def test_partition_trace_contract(fig5_sweep, fig7_sweep, fig11_sweep, fig12_swe
             req = assign_deadlines(
                 tmpl,
                 arrival,
-                ctx.policy,
-                ctx.mean_exec,
+                service_slacks(tmpl, ctx.policy, ctx.mean_exec),
                 request_id=rid,
                 origin_fog=ctx.origin_fog,
             )
@@ -495,7 +495,9 @@ def test_engine_micro_oracle():
     )
     reqs = [
         assign_deadlines(
-            app, 40.0 * k, DeadlinePolicy(), {"unit.stage": 100.0},
+            app,
+            40.0 * k,
+            service_slacks(app, DeadlinePolicy(), {"unit.stage": 100.0}),
             request_id=k,
         )
         for k in range(10)

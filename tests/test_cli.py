@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -426,13 +427,13 @@ def test_simulate_parallel_zero_means_core_count(tmp_path, monkeypatch):
     cfg.write_text(json.dumps(tiny_config(methods=["mr"], repetitions=1)))
     out = tmp_path / "out.csv"
     seen = []
-    original = fogfed.cli.run_sweep
+    original = fogfed.cli.iter_sweep
 
     def spy(scenario, parallel, trace):
         seen.append(parallel)
         return original(scenario, 1, trace)
 
-    monkeypatch.setattr(fogfed.cli, "run_sweep", spy)
+    monkeypatch.setattr(fogfed.cli, "iter_sweep", spy)
     monkeypatch.setattr(fogfed.cli.os, "cpu_count", lambda: 3)
     args = ["simulate", "--config", str(cfg), "--out", str(out)]
     assert main(args) == 0
@@ -457,6 +458,102 @@ def test_simulate_trace_writes_jsonl(tmp_path):
     for rec in records:
         assert rec["run_method"] == "mr"
         assert "chosen" in rec and "reason" in rec
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_simulate_trace_equals_run_sweep_records(tmp_path, parallel):
+    doc = tiny_config(methods=["mr", "mect"], repetitions=3, loads=[4, 6])
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(json.dumps(doc))
+    args = ["simulate", "--config", str(cfg), "--out", str(out), "--trace"]
+    assert main(args + ["--parallel", str(parallel)]) == 0
+    _, records = run_sweep(scenario_from_config(doc), parallel=1, trace=True)
+    assert records
+    lines = (tmp_path / "out.csv.trace.jsonl").read_text().splitlines()
+    assert lines == [json.dumps(rec, sort_keys=True) for rec in records]
+
+
+def _count_runs(monkeypatch):
+    import fogfed.cli
+
+    runs = []
+    original = fogfed.cli.run
+
+    def counting(*args, **kwargs):
+        runs.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(fogfed.cli, "run", counting)
+    return runs
+
+
+@pytest.mark.parametrize("broken", ["out_dir_missing", "trace_is_a_dir"])
+def test_simulate_unwritable_output_fails_before_any_run(
+    tmp_path, capsys, monkeypatch, broken
+):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(tiny_config()))
+    if broken == "out_dir_missing":
+        out = tmp_path / "missing" / "out.csv"
+    else:
+        out = tmp_path / "out.csv"
+        (tmp_path / "out.csv.trace.jsonl").mkdir()
+    runs = _count_runs(monkeypatch)
+    args = ["simulate", "--config", str(cfg), "--out", str(out), "--trace"]
+    assert main(args + ["--parallel", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert runs == []
+
+
+def test_report_unwritable_out_fails_before_printing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(json.dumps(tiny_config()))
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    capsys.readouterr()
+    agg = tmp_path / "missing" / "agg.csv"
+    assert main(["report", "--in", str(out), "--out", str(agg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_shared_binning_memo_gives_fresh_contexts(monkeypatch):
+    import fogfed.federation
+
+    binned_specs = []
+    original = fogfed.federation.pmfs_from_normal
+
+    def counting(specs, bin_width):
+        binned_specs.extend(specs)
+        return original(specs, bin_width)
+
+    s = scenario_from_config({"suite": "fig11_scaling_workflows"})
+    fresh = [_build_context(s, d) for d in s.degrees]
+    monkeypatch.setattr(fogfed.federation, "pmfs_from_normal", counting)
+    memo: dict = {}
+    shared = [_build_context(s, d, memo) for d in s.degrees]
+    distinct = {
+        (spec, s.bin_width_ms)
+        for ctx in fresh
+        for spec in ctx.etc.specs.values()
+    }
+    assert set(memo) == distinct
+    # each distinct normal binned once, though the contexts repeat many
+    assert len(binned_specs) == len(distinct)
+    assert len(distinct) < sum(len(ctx.etc.entries) for ctx in fresh)
+    for a, b in zip(shared, fresh):
+        assert a.etc.specs == b.etc.specs
+        assert list(a.etc.entries) == list(b.etc.entries)
+        for key, pmf in a.etc.entries.items():
+            want = b.etc.entries[key]
+            assert (pmf.bin_width, pmf.origin) == (want.bin_width, want.origin)
+            assert np.array_equal(pmf.mass, want.mass)
 
 
 def test_report_round_trip(tmp_path, capsys):

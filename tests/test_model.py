@@ -211,7 +211,9 @@ class TestDeadlines:
         vs = (MicroServiceSpec("a", "a", "t", NormalSpec(10.0, 1.0), 1.0),)
         w = WorkflowSpec("t", vs, ())
         policy = DeadlinePolicy(epsilon_ms=50.0, mean_comm_ms=20.0)
-        req = assign_deadlines(w, 0.0, policy, {"a": 100.0})
+        req = assign_deadlines(
+            w, 0.0, service_slacks(w, policy, {"a": 100.0})
+        )
         assert req.slacks["a"] == pytest.approx(170.0)
         assert req.workflow_deadline == pytest.approx(170.0)
 
@@ -219,15 +221,16 @@ class TestDeadlines:
         vs = (MicroServiceSpec("a", "a", "t", NormalSpec(10.0, 1.0), 1.0),)
         w = WorkflowSpec("t", vs, ())
         policy = DeadlinePolicy(epsilon_ms=0.0, mean_comm_ms=0.0)
-        req = assign_deadlines(w, 0.0, policy, {"a": 100.0})
+        req = assign_deadlines(
+            w, 0.0, service_slacks(w, policy, {"a": 100.0})
+        )
         assert req.workflow_deadline == pytest.approx(100.0)
 
     def test_workflow_deadline_sums_budgets(self):
         w = _w(("a", "b", "c"), [("a", "b"), ("b", "c")])
         policy = DeadlinePolicy(epsilon_ms=5.0, mean_comm_ms=2.0)
-        req = assign_deadlines(
-            w, 7.0, policy, {"a": 10.0, "b": 20.0, "c": 30.0}
-        )
+        exec_ms = {"a": 10.0, "b": 20.0, "c": 30.0}
+        req = assign_deadlines(w, 7.0, service_slacks(w, policy, exec_ms))
         assert req.workflow_deadline == pytest.approx(7.0 + 81.0)
         # every stage budget is measured from the request arrival
         assert req.slacks == {"a": 17.0, "b": 27.0, "c": 37.0}
@@ -236,8 +239,8 @@ class TestDeadlines:
         w = builtin_app("har")
         policy = DeadlinePolicy()
         exec_ms = {v.id: 10.0 for v in w.vertices}
-        a = assign_deadlines(w, 0.0, policy, exec_ms)
-        b = assign_deadlines(w, 123.5, policy, exec_ms)
+        a = assign_deadlines(w, 0.0, service_slacks(w, policy, exec_ms))
+        b = assign_deadlines(w, 123.5, service_slacks(w, policy, exec_ms))
         assert b.workflow_deadline == pytest.approx(a.workflow_deadline + 123.5)
         assert b.slacks == a.slacks
 
@@ -257,7 +260,8 @@ class TestDeadlines:
         for name in APP_NAMES:
             w = builtin_app(name)
             exec_ms = {v.id: v.work.mean / 2.0 for v in w.vertices}
-            req = assign_deadlines(w, 5.0, DeadlinePolicy(), exec_ms)
+            slacks = service_slacks(w, DeadlinePolicy(), exec_ms)
+            req = assign_deadlines(w, 5.0, slacks)
             assert req.workflow_deadline > 5.0
 
     def test_request_validation(self):

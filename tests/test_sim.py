@@ -19,6 +19,7 @@ from fogfed.model import (
     assign_deadlines,
     builtin_app,
     incoming_data_mb,
+    service_slacks,
     to_monolithic,
 )
 from fogfed.partition import PartitionConfig, baseline_mincut, no_partition
@@ -203,13 +204,57 @@ def test_workload_seeded_determinism(app_context):
     assert [r.arrival_ms for r in a] != [r.arrival_ms for r in c]
 
 
+def test_workload_requests_equal_hand_stamped_ones(app_context):
+    """Each request equals one stamped from its shape's fresh slacks."""
+    reqs = generate_workload(
+        WorkloadSpec(40, mix=0.5, window_ms=2000.0), seed=6, ctx=app_context
+    )
+    assert {r.kind for r in reqs} == {"workflow", "monolithic"}
+    for r in reqs:
+        slacks = service_slacks(
+            r.spec, app_context.policy, app_context.mean_exec
+        )
+        want = assign_deadlines(
+            r.spec,
+            r.arrival_ms,
+            slacks,
+            request_id=r.id,
+            origin_fog=app_context.origin_fog,
+            kind=r.kind,
+        )
+        for name in ("id", "arrival_ms", "kind", "origin_fog"):
+            assert getattr(r, name) == getattr(want, name)
+        assert r.spec is want.spec
+        # bit-equal floats, not merely close ones
+        assert r.workflow_deadline.hex() == want.workflow_deadline.hex()
+        assert list(r.slacks) == list(want.slacks)
+        assert [v.hex() for v in r.slacks.values()] == [
+            v.hex() for v in want.slacks.values()
+        ]
+
+
+def test_workload_shares_one_read_only_slacks_per_shape(app_context):
+    # every third request is monolithic, so each app comes in both shapes
+    reqs = generate_workload(
+        WorkloadSpec(24, mix=1 / 3, window_ms=2000.0), seed=6, ctx=app_context
+    )
+    by_spec = {}
+    for r in reqs:
+        assert by_spec.setdefault(id(r.spec), r.slacks) is r.slacks
+    assert len(by_spec) == 8  # four apps, each as workflow and monolithic
+    with pytest.raises(TypeError):
+        reqs[0].slacks["fire.capture"] = 0.0
+
+
 # -------------------------------------------------------- partition budgets
 
 
 def test_partition_deadlines_cover_whole_budget(app_context):
     fire = app_context.templates[0]
     policy = DeadlinePolicy(epsilon_ms=15.0, mean_comm_ms=20.0)
-    req = assign_deadlines(fire, 100.0, policy, app_context.mean_exec)
+    req = assign_deadlines(
+        fire, 100.0, service_slacks(fire, policy, app_context.mean_exec)
+    )
     whole = no_partition(fire)
     budgets = partition_deadlines(whole, req)
     assert len(budgets) == 1
@@ -218,6 +263,69 @@ def test_partition_deadlines_cover_whole_budget(app_context):
     parts = partition_deadlines(split, req)
     assert len(parts) == len(split.partitions)
     assert sum(parts) == pytest.approx(req.workflow_deadline - 100.0)
+
+
+def _spy_budgets(monkeypatch):
+    """Record (plan, request, budgets handed to the allocator) per arrival."""
+    import fogfed.sim as sim
+
+    seen = []
+    calls = []
+    original_allocate = sim._Engine._allocate
+    original_budgets = sim.partition_deadlines
+
+    def allocate(engine, plan, request):
+        seen.append([plan, request, None])
+        return original_allocate(engine, plan, request)
+
+    def allocate_mr(plan, local, topo, etc, ett, queues, deadlines, *a, **k):
+        seen[-1][2] = deadlines
+        return original_mr(plan, local, topo, etc, ett, queues, deadlines,
+                           *a, **k)
+
+    def budgets(plan, request):
+        calls.append(request)
+        return original_budgets(plan, request)
+
+    original_mr = sim.allocate_mr
+    monkeypatch.setattr(sim._Engine, "_allocate", allocate)
+    monkeypatch.setattr(sim, "allocate_mr", allocate_mr)
+    monkeypatch.setattr(sim, "partition_deadlines", budgets)
+    return seen, calls
+
+
+@pytest.mark.parametrize("method", ["none", "mincut", "leastdata", "propart"])
+def test_engine_budgets_equal_partition_deadlines(monkeypatch, method):
+    from fogfed.cli import _build_context, _cell_config, scenario_from_config
+
+    sc = scenario_from_config({"suite": "fig5_partitioning", "mix": 0.5})
+    ctx = _build_context(sc, None)
+    seen, calls = _spy_budgets(monkeypatch)
+    run(_cell_config(sc, ctx, method, 100), seed=17)
+    assert len(seen) == 100
+    for plan, request, budgets in seen:
+        assert budgets == partition_deadlines(plan, request)
+    # computed once per (shape, origin) of the run, not once per request
+    assert len(calls) <= 2 * len(ctx.shapes)
+
+
+def test_engine_budgets_follow_each_requests_own_slacks(monkeypatch):
+    cfg = make_cfg([unit_app()], node_count=2, fixed_mips=2000.0, alloc="mr")
+    spec = cfg.ctx.templates[0]
+    shared = {"unit.stage": 30.0}
+    reqs = [
+        Request(0, 0.0, "workflow", spec, 0, 170.0, {"unit.stage": 170.0}),
+        Request(1, 1.0, "workflow", spec, 0, 31.0, {"unit.stage": 30.0}),
+        Request(2, 2.0, "workflow", spec, 0, 32.0, shared),
+        Request(3, 3.0, "workflow", spec, 0, 33.0, shared),
+    ]
+    seen, calls = _spy_budgets(monkeypatch)
+    simulate_requests(cfg, reqs, seed=1)
+    assert [budgets for _p, _r, budgets in seen] == [
+        (170.0,), (30.0,), (30.0,), (30.0,)
+    ]
+    # one computation per distinct slacks mapping
+    assert [r.id for r in calls] == [0, 1, 2]
 
 
 # ------------------------------------------------------------------- engine
@@ -255,11 +363,9 @@ def test_fifo_single_node_hand_schedule():
     # finds the node idle again.
     cfg = make_cfg([unit_app()], node_count=1, fixed_mips=2000.0)
     policy = DeadlinePolicy()  # slack = 100 + 50 + 20 = 170 per request
-    mean_exec = {"unit.stage": 100.0}
+    slacks = service_slacks(unit_app(), policy, {"unit.stage": 100.0})
     reqs = [
-        assign_deadlines(
-            unit_app(), t, policy, mean_exec, request_id=i
-        )
+        assign_deadlines(unit_app(), t, slacks, request_id=i)
         for i, t in enumerate((0.0, 10.0, 250.0))
     ]
     report = simulate_requests(cfg, reqs, seed=4)
@@ -273,9 +379,9 @@ def test_fifo_single_node_hand_schedule():
 def test_parallel_nodes_absorb_simultaneous_arrivals():
     cfg = make_cfg([unit_app()], node_count=3, fixed_mips=2000.0)
     policy = DeadlinePolicy()
-    mean_exec = {"unit.stage": 100.0}
+    slacks = service_slacks(unit_app(), policy, {"unit.stage": 100.0})
     reqs = [
-        assign_deadlines(unit_app(), 5.0, policy, mean_exec, request_id=i)
+        assign_deadlines(unit_app(), 5.0, slacks, request_id=i)
         for i in range(3)
     ]
     report = simulate_requests(cfg, reqs, seed=4)
@@ -302,8 +408,9 @@ def test_mect_offloads_to_faster_neighbor():
     )
     policy = DeadlinePolicy()
     mean_exec = {"unit.stage": mean_exec_profile(etc, "unit.stage")}
+    app = unit_app(mean_mi=20_000.0)
     req = assign_deadlines(
-        unit_app(mean_mi=20_000.0), 0.0, policy, mean_exec, origin_fog=slow
+        app, 0.0, service_slacks(app, policy, mean_exec), origin_fog=slow
     )
     report = simulate_requests(cfg, [req], seed=3)
     assert report.remote_assignments == 1
@@ -345,7 +452,8 @@ def test_same_fog_handoff_has_no_transfer_cost():
     )
     policy = DeadlinePolicy()
     mean_exec = {"chain.a": 100.0, "chain.b": 200.0}
-    req = assign_deadlines(chain, 0.0, policy, mean_exec)
+    slacks = service_slacks(chain, policy, mean_exec)
+    req = assign_deadlines(chain, 0.0, slacks)
     report = simulate_requests(cfg, [req], seed=2)
     assert report.avg_makespan_ms == 300.0
     assert report.meet_rate == 1.0
