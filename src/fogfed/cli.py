@@ -417,20 +417,15 @@ class _Runner:
             self._contexts[degree] = ctx
         return ctx
 
-    def execute(self, task: tuple) -> tuple[SimReport, "list | None"]:
+    def execute(self, task: tuple) -> tuple[SimReport, "str | None"]:
         method, load, degree, rep = task
         cfg = _cell_config(self.scenario, self.context(degree), method, load)
         seed = run_seed(self.scenario, method, load, degree or 0, rep)
         if not self.trace:
             return run(cfg, seed), None
-        records: list = []
-        stamp = {"scenario": cfg.scenario, "run_method": method, "seed": seed}
-
-        def sink(rec: dict) -> None:
-            rec.update(stamp)
-            records.append(rec)
-
-        return run(cfg, seed, trace_sink=sink), records
+        lines: list[str] = []
+        report = run(cfg, seed, trace_sink=lines.append)
+        return report, "".join(lines)
 
 
 _WORKER: "_Runner | None" = None
@@ -441,17 +436,19 @@ def _init_worker(scenario: Scenario, trace: bool) -> None:
     _WORKER = _Runner(scenario, trace)
 
 
-def _run_task(task: tuple) -> tuple[SimReport, "list | None"]:
+def _run_task(task: tuple) -> tuple[SimReport, "str | None"]:
     return _WORKER.execute(task)
 
 
 def iter_sweep(
     scenario: Scenario, parallel: int = 1, trace: bool = False
-) -> Iterator[tuple[SimReport, "list | None"]]:
-    """Each run's ``(report, trace records or None)``, in task order.
+) -> Iterator[tuple[SimReport, "str | None"]]:
+    """Each run's ``(report, trace text or None)``, in task order.
 
-    A run is yielded as soon as it and every run before it have finished,
-    so a caller can write each run's records and then drop them.
+    The trace text holds one ``json.dumps(record, sort_keys=True)`` line
+    per allocation decision, each ending in a newline.  A run is yielded as
+    soon as it and every run before it have finished, so a caller can
+    write each run's text and then drop it.
     """
     tasks = sweep_tasks(scenario)
     if parallel <= 1 or len(tasks) == 1:
@@ -470,12 +467,17 @@ def iter_sweep(
 def run_sweep(
     scenario: Scenario, parallel: int = 1, trace: bool = False
 ) -> tuple[list[SimReport], list]:
-    """All runs of the sweep, in deterministic task order."""
+    """All runs of the sweep, in deterministic task order.
+
+    With ``trace`` the second item holds every decision record as a dict,
+    parsed back from the runs' trace lines.
+    """
     reports = []
     trace_records = []
-    for report, records in iter_sweep(scenario, parallel, trace):
+    for report, text in iter_sweep(scenario, parallel, trace):
         reports.append(report)
-        trace_records.extend(records or ())
+        if text:
+            trace_records.extend(map(json.loads, text.splitlines()))
     return reports, trace_records
 
 
@@ -649,12 +651,11 @@ def cmd_simulate(args) -> int:
     reports = []
     n_records = 0
     try:
-        for report, records in iter_sweep(scenario, parallel, args.trace):
+        for report, text in iter_sweep(scenario, parallel, args.trace):
             reports.append(report)
             if trace_fh is not None:
-                for rec in records:
-                    trace_fh.write(json.dumps(rec, sort_keys=True) + "\n")
-                n_records += len(records)
+                trace_fh.write(text)
+                n_records += text.count("\n")
     finally:
         if trace_fh is not None:
             trace_fh.close()

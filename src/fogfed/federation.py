@@ -271,18 +271,22 @@ def build_ett(
     """Hop-indexed transfer latencies.
 
     Hop 0 is a point mass at 0 (local handoff).  Each hop adds one draw of
-    the link latency plus the payload serialization time.
+    the link latency plus the payload serialization time.  The sum of the
+    link draws does not depend on the type, so each hop count's chain is
+    convolved once and shifted per type.
     """
     max_hops = (topo.width - 1) + (topo.height - 1)
     hop_pmf = pmf_from_normal(link.per_hop_latency, bin_width)
+    chains = [hop_pmf] if max_hops else []
+    while len(chains) < max_hops:
+        chains.append(convolve(chains[-1], hop_pmf))
+    local = point_mass(0.0, bin_width)
     entries: dict[tuple[str, int], LatencyPmf] = {}
     for mtype, mb in data_mb.items():
         if mb < 0:
             raise ValueError(f"negative payload for {mtype!r}")
         per_hop_transfer = link.transfer_ms(mb)
-        entries[(mtype, 0)] = point_mass(0.0, bin_width)
-        acc = None
-        for h in range(1, max_hops + 1):
-            acc = hop_pmf if acc is None else convolve(acc, hop_pmf)
-            entries[(mtype, h)] = shift(acc, h * per_hop_transfer)
+        entries[(mtype, 0)] = local
+        for h, chain in enumerate(chains, start=1):
+            entries[(mtype, h)] = shift(chain, h * per_hop_transfer)
     return EttMatrix(bin_width, max_hops, entries)

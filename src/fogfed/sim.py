@@ -13,6 +13,7 @@ import heapq
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _json_str
 from types import MappingProxyType
 
 import numpy as np
@@ -263,6 +264,7 @@ class _Engine:
         self.ctx = cfg.ctx
         self.rng = np.random.default_rng([seed, 1])
         self.trace = trace_sink
+        self._stamp = _trace_stamp(cfg.scenario, cfg.method, seed)
         self.runtimes = {
             f.id: _FogRuntime([None] * f.node_count, f.node_count)
             for f in self.ctx.topo.fogs
@@ -399,7 +401,9 @@ class _Engine:
             if d.chosen != request.origin_fog:
                 self.remote_assignments += 1
             if self.trace is not None:
-                self.trace(_decision_record(self._now, request, d))
+                self.trace(
+                    _decision_line(self._now, request, d, self._stamp)
+                )
         return decisions
 
     # --------------------------------------------------------------- events
@@ -525,30 +529,74 @@ class _Engine:
         )
 
 
-def _decision_record(now: float, request: Request, d: AllocationDecision):
-    return {
-        "time_ms": round(now, 3),
-        "request": request.id,
-        "app": request.spec.app,
-        "kind": request.kind,
-        "method": d.method,
-        "partition": d.partition_index,
-        "local_fog": d.local_fog,
-        "chosen": d.chosen,
-        "reason": d.reason,
-        "candidates": [
-            {
-                "fog": r.fog,
-                "hops": r.hops,
-                "mean_ms": round(r.mean_ms, 3),
-                "p": None if math.isnan(r.p) else round(r.p, 6),
-                "ci": None if r.ci is None else [r.ci.lo, r.ci.hi],
-                "in_f": r.in_f,
-                "blocked": r.blocked,
-            }
-            for r in d.candidates
-        ],
-    }
+# json.dumps spells these floats differently from float.__repr__
+_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_number(x) -> str:
+    """``json.dumps(x)`` of an int or float."""
+    if not isinstance(x, float):
+        return int.__repr__(x)
+    text = float.__repr__(x)
+    return _JSON_NONFINITE.get(text, text)
+
+
+def _trace_stamp(scenario: str, method: str, seed: int) -> str:
+    """The run's fields of every trace line, from ``run_method`` on."""
+    return ', "run_method": %s, "scenario": %s, "seed": %d, "time_ms": ' % (
+        _json_str(method),
+        _json_str(scenario),
+        seed,
+    )
+
+
+def _candidate_json(r) -> str:
+    return (
+        '{"blocked": %s, "ci": %s, "fog": %d, "hops": %d, "in_f": %s, '
+        '"mean_ms": %s, "p": %s}'
+        % (
+            "true" if r.blocked else "false",
+            "null"
+            if r.ci is None
+            else "[%s, %s]" % (_json_number(r.ci.lo), _json_number(r.ci.hi)),
+            r.fog,
+            r.hops,
+            "true" if r.in_f else "false",
+            _json_number(round(r.mean_ms, 3)),
+            "null" if math.isnan(r.p) else _json_number(round(r.p, 6)),
+        )
+    )
+
+
+def _decision_line(
+    now: float, request: Request, d: AllocationDecision, stamp: str
+) -> str:
+    """One decision's trace line, newline included.
+
+    Byte for byte ``json.dumps(record, sort_keys=True)`` of the record
+    whose keys are written here in sorted order: the time rounded to 1 µs,
+    the request, the decision with each candidate's mean rounded to 1 µs
+    and its on-time probability to 1e-6 (``null`` when it has none), and
+    the run's ``stamp`` (see ``_trace_stamp``).
+    """
+    return (
+        '{"app": %s, "candidates": [%s], "chosen": %d, "kind": %s, '
+        '"local_fog": %d, "method": %s, "partition": %d, "reason": %s, '
+        '"request": %d%s%s}\n'
+        % (
+            _json_str(request.spec.app),
+            ", ".join([_candidate_json(r) for r in d.candidates]),
+            d.chosen,
+            _json_str(request.kind),
+            d.local_fog,
+            _json_str(d.method),
+            d.partition_index,
+            _json_str(d.reason),
+            request.id,
+            stamp,
+            _json_number(round(now, 3)),
+        )
+    )
 
 
 def simulate_requests(
@@ -559,7 +607,11 @@ def simulate_requests(
 
 
 def run(cfg: RunConfig, seed: int, trace_sink=None) -> SimReport:
-    """Generate the seeded workload and simulate it to quiescence."""
+    """Generate the seeded workload and simulate it to quiescence.
+
+    ``trace_sink``, when given, is called with each allocation decision's
+    JSON trace line (see ``_decision_line``), in decision order.
+    """
     requests = generate_workload(cfg.workload, seed, cfg.ctx)
     return simulate_requests(cfg, requests, seed, trace_sink)
 

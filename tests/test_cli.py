@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -472,6 +473,29 @@ def test_simulate_trace_equals_run_sweep_records(tmp_path, parallel):
     assert records
     lines = (tmp_path / "out.csv.trace.jsonl").read_text().splitlines()
     assert lines == [json.dumps(rec, sort_keys=True) for rec in records]
+
+
+# sha256 of the --trace file of one repetition at load 8, seed 1234:
+# fig11 runs mr at degrees 1-4, fig6 runs all four allocators
+_TRACE_SHA256 = {
+    "fig11_scaling_workflows":
+        "0e26a7c09c25a016c4837954e2736b2703425b6f0f7c6d1b4d173fad635a5e03",
+    "fig6_alloc_workflows":
+        "653c35b631c2ed481afdb86d0ae37655d97e57f3950cc0498b19bcfd36009438",
+}
+
+
+@pytest.mark.parametrize("parallel", [1, 2])
+@pytest.mark.parametrize("suite", sorted(_TRACE_SHA256))
+def test_simulate_trace_bytes_are_pinned(tmp_path, suite, parallel):
+    doc = {"suite": suite, "loads": [8], "repetitions": 1, "seed": 1234}
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out.csv"
+    cfg.write_text(json.dumps(doc))
+    args = ["simulate", "--config", str(cfg), "--out", str(out), "--trace"]
+    assert main(args + ["--parallel", str(parallel)]) == 0
+    trace = (tmp_path / "out.csv.trace.jsonl").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == _TRACE_SHA256[suite]
 
 
 def _count_runs(monkeypatch):

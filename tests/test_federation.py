@@ -1,7 +1,15 @@
 import numpy as np
 import pytest
 
-from fogfed.dist import NormalSpec, mean, point_mass
+import fogfed.federation as federation
+from fogfed.dist import (
+    NormalSpec,
+    convolve,
+    mean,
+    pmf_from_normal,
+    point_mass,
+    shift,
+)
 from fogfed.federation import (
     MIPS_HI,
     MIPS_LO,
@@ -250,3 +258,75 @@ class TestEtt:
     def test_bad_link(self):
         with pytest.raises(ValueError):
             LinkProfile(0.0)
+
+    @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (3, 3), (4, 3)])
+    def test_chains_built_once_equal_per_type_reference(
+        self, monkeypatch, width, height
+    ):
+        topo = build_grid(width, height, seed=3)
+        link = LinkProfile(300.0, NormalSpec(20.0, 5.0))
+        data = {"a": 0.0, "b": 0.37, "c": 1.0, "d": 10.0, "e": 2.5}
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return convolve(a, b)
+
+        monkeypatch.setattr(federation, "convolve", counting)
+        ett = build_ett(topo, link, data, bin_width=1.0)
+        max_hops = width + height - 2
+        assert len(calls) == max(0, max_hops - 1)
+        expected = reference_ett_entries(topo, link, data, 1.0)
+        assert ett.entries.keys() == expected.keys()
+        for key, ref in expected.items():
+            got = ett.entries[key]
+            assert got.origin == ref.origin, key
+            assert got.bin_width == ref.bin_width, key
+            assert np.array_equal(got.mass, ref.mass), key
+
+
+def reference_ett_entries(topo, link, data_mb, bin_width):
+    """``build_ett``'s entries, convolving each type's hop chain anew."""
+    max_hops = (topo.width - 1) + (topo.height - 1)
+    hop_pmf = pmf_from_normal(link.per_hop_latency, bin_width)
+    entries = {}
+    for mtype, mb in data_mb.items():
+        entries[(mtype, 0)] = point_mass(0.0, bin_width)
+        acc = None
+        for h in range(1, max_hops + 1):
+            acc = hop_pmf if acc is None else convolve(acc, hop_pmf)
+            entries[(mtype, h)] = shift(acc, h * link.transfer_ms(mb))
+    return entries
+
+
+def test_fig11_contexts_convolve_each_hop_chain_once(monkeypatch):
+    import fogfed.cli as cli
+
+    calls = []
+    built = []
+    build = cli.build_ett
+
+    def counting(a, b):
+        calls.append((a, b))
+        return convolve(a, b)
+
+    def spy(*args):
+        ett = build(*args)
+        built.append((args, ett))
+        return ett
+
+    monkeypatch.setattr(federation, "convolve", counting)
+    monkeypatch.setattr(cli, "build_ett", spy)
+    s = cli.scenario_from_config({"suite": "fig11_scaling_workflows"})
+    for degree in s.degrees:
+        cli._build_context(s, degree)
+    # degrees 1-4 use grids of 1, 2, 3 and 4 hops across
+    assert len(calls) == 0 + 1 + 2 + 3
+    assert len(built) == len(s.degrees)
+    for args, ett in built:
+        expected = reference_ett_entries(*args)
+        assert ett.entries.keys() == expected.keys()
+        for key, ref in expected.items():
+            got = ett.entries[key]
+            assert (got.origin, got.bin_width) == (ref.origin, ref.bin_width)
+            assert np.array_equal(got.mass, ref.mass), key

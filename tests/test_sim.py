@@ -1,9 +1,15 @@
+import dataclasses
+import json
 import math
+from types import MappingProxyType
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fogfed.dist import NormalSpec
+from fogfed.alloc import REASONS, AllocationDecision, CandidateRecord
+from fogfed.dist import CiInterval, NormalSpec
 from fogfed.federation import (
     LinkProfile,
     build_etc,
@@ -24,10 +30,13 @@ from fogfed.model import (
 )
 from fogfed.partition import PartitionConfig, baseline_mincut, no_partition
 from fogfed.sim import (
+    ALLOC_METHODS,
     Context,
     RunConfig,
     SimReport,
     WorkloadSpec,
+    _decision_line,
+    _trace_stamp,
     aggregate,
     generate_workload,
     partition_deadlines,
@@ -522,8 +531,13 @@ def test_trace_sink_records_one_entry_per_decision():
         alloc="mr",
         partition_method="propart",
     )
-    records = []
-    report = run(cfg, seed=3, trace_sink=records.append)
+    lines = []
+    report = run(cfg, seed=3, trace_sink=lines.append)
+    assert all(
+        isinstance(line, str) and line.count("\n") == 1 and line[-1] == "\n"
+        for line in lines
+    )
+    records = [json.loads(line) for line in lines]
     assert report.requests == 8
     assert len(records) >= 8
     for rec in records:
@@ -536,6 +550,166 @@ def test_trace_sink_records_one_entry_per_decision():
         )
         assert isinstance(rec["candidates"], list) and rec["candidates"]
         assert rec["time_ms"] >= 0.0
+        assert rec["scenario"] == cfg.scenario
+        assert rec["run_method"] == cfg.method
+        assert rec["seed"] == 3
+
+
+# ------------------------------------------------------------ trace lines
+
+
+def reference_record(now, request, d, scenario, method, seed) -> dict:
+    """One decision's trace record as a dict: the oracle of the encoder."""
+    return {
+        "time_ms": round(now, 3),
+        "request": request.id,
+        "app": request.spec.app,
+        "kind": request.kind,
+        "method": d.method,
+        "partition": d.partition_index,
+        "local_fog": d.local_fog,
+        "chosen": d.chosen,
+        "reason": d.reason,
+        "candidates": [
+            {
+                "fog": r.fog,
+                "hops": r.hops,
+                "mean_ms": round(r.mean_ms, 3),
+                "p": None if math.isnan(r.p) else round(r.p, 6),
+                "ci": None if r.ci is None else [r.ci.lo, r.ci.hi],
+                "in_f": r.in_f,
+                "blocked": r.blocked,
+            }
+            for r in d.candidates
+        ],
+        "scenario": scenario,
+        "run_method": method,
+        "seed": seed,
+    }
+
+
+def _trace_request(app="fire", request_id=0, kind="workflow"):
+    spec = unit_app(name=app)
+    return Request(
+        request_id, 0.0, kind, spec, 0, 100.0, MappingProxyType({})
+    )
+
+
+def _assert_line_is_reference(now, request, d, scenario, method, seed):
+    line = _decision_line(
+        now, request, d, _trace_stamp(scenario, method, seed)
+    )
+    ref = reference_record(now, request, d, scenario, method, seed)
+    assert line == json.dumps(ref, sort_keys=True) + "\n"
+
+
+_EDGE_FLOATS = (
+    0.0, -0.0, 0.1, 1e-7, 5e-324, 2.2250738585072014e-308, 1e16, 1e22,
+    1.7976931348623157e308, -1e300, math.inf, -math.inf, math.nan,
+    0.0005, 0.0015, 2.675, 123456.0005,
+)
+_trace_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
+_trace_ints = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([0, 2**53 - 1, 2**53, 2**53 + 1, 2**63, 2**64 - 1]),
+)
+_trace_ci = st.one_of(
+    st.none(),
+    st.tuples(_trace_floats, _trace_floats).map(
+        lambda b: CiInterval(*sorted(b), 0.95)
+    ),
+)
+_trace_candidates = st.builds(
+    CandidateRecord,
+    fog=_trace_ints,
+    hops=_trace_ints,
+    mean_ms=_trace_floats,
+    p=_trace_floats,
+    ci=_trace_ci,
+    in_f=st.booleans(),
+    blocked=st.booleans(),
+)
+_trace_decisions = st.builds(
+    AllocationDecision,
+    method=st.one_of(st.sampled_from(ALLOC_METHODS), st.text()),
+    partition_index=_trace_ints,
+    local_fog=_trace_ints,
+    chosen=_trace_ints,
+    reason=st.sampled_from(REASONS),
+    candidates=st.lists(_trace_candidates, max_size=4).map(tuple),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    now=_trace_floats,
+    app=st.text(min_size=1),
+    request_id=_trace_ints,
+    kind=st.sampled_from(["workflow", "monolithic"]),
+    d=_trace_decisions,
+    scenario=st.text(),
+    method=st.text(),
+    seed=_trace_ints,
+)
+def test_trace_line_equals_sorted_json_of_reference_record(
+    now, app, request_id, kind, d, scenario, method, seed
+):
+    request = _trace_request(app, request_id, kind)
+    _assert_line_is_reference(now, request, d, scenario, method, seed)
+
+
+@pytest.mark.parametrize(
+    "candidate",
+    [
+        # no probability and no CI: p is written as null
+        CandidateRecord(0, 0, 12.5),
+        # allocate_no_federation without a model leaves the mean NaN
+        CandidateRecord(0, 0, math.nan),
+        CandidateRecord(
+            3, 2, -0.0, -0.0, CiInterval(-0.0, 0.0, 0.95), True, True
+        ),
+        CandidateRecord(
+            1, 1, 1.7976931348623157e308, 5e-324,
+            CiInterval(5e-324, 1e300, 0.5),
+        ),
+        CandidateRecord(2**53 + 1, 2**64 + 7, 0.0005, 0.0000005),
+        CandidateRecord(
+            0, 1, math.inf, -math.inf, CiInterval(-math.inf, math.inf, 0.95)
+        ),
+    ],
+)
+def test_trace_line_edge_values(candidate):
+    d = AllocationDecision("nofed", 0, 0, 0, "local_default", (candidate,))
+    request = _trace_request("Ölraffinerie-Ω \"1\"\n", 2**53 + 3)
+    _assert_line_is_reference(
+        1e-3, request, d, "scénario", "mr", 2**64 - 1
+    )
+    line = _decision_line(0.0, request, d, _trace_stamp("s", "m", 0))
+    assert line.isascii() and line.count("\n") == 1
+
+
+def test_trace_line_of_every_engine_decision(monkeypatch):
+    import fogfed.sim as sim
+
+    cfg = make_cfg(
+        four_apps(), width=3, height=2, total=24, window=1500.0,
+        alloc="nofed", partition_method="propart",
+    )
+    seen = []
+    encode = sim._decision_line
+
+    def spy(now, request, d, stamp):
+        line = encode(now, request, d, stamp)
+        seen.append((reference_record(now, request, d, "test", "m", 9), line))
+        return line
+
+    monkeypatch.setattr(sim, "_decision_line", spy)
+    for alloc in ALLOC_METHODS:
+        run(dataclasses.replace(cfg, alloc_method=alloc), seed=9,
+            trace_sink=lambda line: None)
+    assert len(seen) >= 4 * 24
+    for ref, line in seen:
+        assert line == json.dumps(ref, sort_keys=True) + "\n"
 
 
 def test_degree_reported_for_origin():
