@@ -59,8 +59,8 @@ class QueueEstimate:
 
     def __post_init__(self) -> None:
         for fog, w in self.waits.items():
-            if w < 0:
-                raise ValueError(f"negative queue wait for fog {fog}")
+            if not w >= 0:
+                raise ValueError(f"queue wait for fog {fog} is {w}, not >= 0")
 
     def wait(self, fog_id: int) -> float:
         return self.waits.get(fog_id, 0.0)
@@ -129,7 +129,7 @@ class Completion:
 class CompletionModel:
     """The one cache of load-independent completion facts per context.
 
-    Entries live in a single dict under three key shapes:
+    Entries live in a single dict under five key shapes:
 
     - ``(types, fog, hops, ci_level)``: a ``Completion`` of the end-to-end
       PMF, which ``allocate_mr`` evaluates per queue wait without building
@@ -138,16 +138,32 @@ class CompletionModel:
       it is the chain of ``types`` on ``fog``, which the partitioner's
       on-time estimates read too; chains are built by prefix, so partitions
       of one template share their leading convolutions;
-    - ``(types, fog)``: the sum of the chain's per-type mean exec times.
+    - ``(types, fog)``: the sum of the chain's per-type mean exec times;
+    - ``("mr", types, local, origin, ci_level)``: the candidate table of an
+      ``mr`` decision at gateway ``local`` whose transfer leaves ``origin``
+      (see ``mr_candidates``);
+    - ``("mean", types, local)``: the candidate table of a MECT or MCC
+      decision at gateway ``local`` (see ``mean_candidates``).
 
     Nothing is keyed by queue wait or request, so the cache is bounded by
-    the partitions, fogs and hop counts a context can see.
+    the partitions, fogs and hop counts a context can see.  The candidate
+    tables are keyed without the topology, so a model serves one: the
+    first table binds it, and a table asked for under another topology
+    raises ``ValueError``.
     """
 
     def __init__(self, etc: EtcMatrix, ett: "EttMatrix | None" = None):
         self.etc = etc
         self.ett = ett
         self._cache: dict = {}
+        self._topo: "FederationTopology | None" = None
+
+    def _bind(self, topo: FederationTopology) -> None:
+        if self._topo is not None:
+            raise ValueError(
+                "completion model already serves another topology"
+            )
+        self._topo = topo
 
     def end_to_end(
         self, types: tuple[str, ...], fog_id: int, hops: int
@@ -199,6 +215,52 @@ class CompletionModel:
             self._cache[key] = hit
         return hit
 
+    def mr_candidates(
+        self,
+        types: tuple[str, ...],
+        local: int,
+        origin: int,
+        ci_level: float,
+        topo: FederationTopology,
+    ) -> tuple[tuple[int, int, Completion], ...]:
+        """``(fog, hops, Completion)`` of each neighbour of ``local``.
+
+        In adjacency order; ``hops`` counts the entry transfer from
+        ``origin``, the fog of the previous partition.
+        """
+        if topo is not self._topo:
+            self._bind(topo)
+        key = ("mr", types, local, origin, ci_level)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = tuple(
+                (g, hops, self.completion(types, g, hops, ci_level))
+                for g in topo.neighbors(local)
+                for hops in (hop_distance(topo, origin, g),)
+            )
+            self._cache[key] = hit
+        return hit
+
+    def mean_candidates(
+        self, types: tuple[str, ...], local: int, topo: FederationTopology
+    ) -> tuple[tuple[int, int, float], ...]:
+        """``(fog, hops, mean_exec_sum)`` of ``local``, then its neighbours.
+
+        ``hops`` is 0 for ``local`` and 1 for a neighbour: the mean-based
+        baselines do not see transfers.
+        """
+        if topo is not self._topo:
+            self._bind(topo)
+        key = ("mean", types, local)
+        hit = self._cache.get(key)
+        if hit is None:
+            hit = tuple(
+                (g, 0 if g == local else 1, self.mean_exec_sum(types, g))
+                for g in (local, *topo.neighbors(local))
+            )
+            self._cache[key] = hit
+        return hit
+
 
 def allocate_mr(
     plan: PartitionPlan,
@@ -243,11 +305,9 @@ def allocate_mr(
             origin = local
             continue
         remotes = []
-        for g in topo.neighbors(local):
-            hops = hop_distance(topo, origin, g)
-            p_g, ci_g, mean_g = m.completion(types, g, hops, ci_level).at(
-                queues.wait(g), delta
-            )
+        table = m.mr_candidates(types, local, origin, ci_level, topo)
+        for g, hops, c in table:
+            p_g, ci_g, mean_g = c.at(queues.wait(g), delta)
             remotes.append((g, hops, mean_g, p_g, ci_g))
         chosen = local
         reason = "local_default" if not remotes else "local_higher_p"
@@ -307,13 +367,11 @@ def allocate_mect(
         return AllocationDecision(
             "mect", partition_index, local, local, "forced_local_pinned", (rec,)
         )
-    order = [local, *topo.neighbors(local)]
     records = []
     best_fog, best_ms = local, math.inf
-    for g in order:
-        ms = queues.wait(g) + m.mean_exec_sum(types, g)
-        records.append(CandidateRecord(fog=g, hops=0 if g == local else 1,
-                                       mean_ms=ms))
+    for g, hops, exec_ms in m.mean_candidates(types, local, topo):
+        ms = queues.wait(g) + exec_ms
+        records.append(CandidateRecord(fog=g, hops=hops, mean_ms=ms))
         if ms < best_ms:
             best_fog, best_ms = g, ms
     reason = "local_default" if best_fog == local else "min_expected_completion"
@@ -356,17 +414,13 @@ def allocate_mcc(
         return AllocationDecision(
             "mcc", partition_index, local, local, "forced_local_pinned", (rec,)
         )
-    order = [local, *topo.neighbors(local)]
     records = []
     best_fog, best_c, best_ms = None, -math.inf, math.inf
-    for g in order:
-        exec_ms = m.mean_exec_sum(types, g)
+    for g, hops, exec_ms in m.mean_candidates(types, local, topo):
         ms = queues.wait(g) + exec_ms
         c = deadline_rel - exec_ms
         records.append(
-            CandidateRecord(
-                fog=g, hops=0 if g == local else 1, mean_ms=ms, certainty=c
-            )
+            CandidateRecord(fog=g, hops=hops, mean_ms=ms, certainty=c)
         )
         if c > 0 and c > best_c:
             best_fog, best_c, best_ms = g, c, ms

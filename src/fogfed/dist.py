@@ -285,17 +285,24 @@ def _ndtr(a: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------------ normal binning
 
+# Bin edges per ``_ndtr`` pass.  Each pass allocates about a dozen arrays
+# of this length; one pass over every edge of a sweep's ETC once set the
+# process's peak memory.
+PASS_EDGES = 4096
+
 
 def pmfs_from_normal(
     specs: "list[NormalSpec] | tuple[NormalSpec, ...]",
     bin_width: float,
     truncation: float = 4.0,
 ) -> list[LatencyPmf]:
-    """``pmf_from_normal`` of each spec, binned in one array pass.
+    """``pmf_from_normal`` of each spec, binned in a few array passes.
 
-    All bin edges go through ``_ndtr`` together, so its per-call overhead
-    is paid once per batch; every step is elementwise, so each result
-    equals its one-spec counterpart array for array.
+    The bin edges of all specs go through ``_ndtr`` together, at most
+    ``PASS_EDGES`` at a time, so its per-call overhead is paid once per
+    pass and its temporaries stay small.  Every step is elementwise, so
+    each result equals its one-spec counterpart array for array, wherever
+    the pass boundaries fall.
     """
     if not bin_width > 0:
         raise ValueError(f"bin_width must be positive, got {bin_width}")
@@ -318,28 +325,32 @@ def pmfs_from_normal(
         return out
     index, k_los, counts = (np.array(col) for col in zip(*binned))
     starts = np.cumsum(counts) - counts
-    # Bin k covers [center - w/2, center + w/2]; the edge below zero is
-    # clamped so negative latencies never receive mass.
-    ks = np.arange(int(counts.sum())) + np.repeat(k_los - starts, counts)
-    edges = (ks - 0.5) * bin_width
-    np.clip(edges, 0.0, None, out=edges)
-    means = np.repeat([specs[i].mean for i in index.tolist()], counts)
-    stds = np.repeat([specs[i].std for i in index.tolist()], counts)
-    cdf = _ndtr((edges - means) / stds)
-    # mass[j] = cdf[j + 1] - cdf[j]; a spec's bins stop one short of its
-    # next spec's first edge
-    mass = cdf[1:] - cdf[:-1]
-    np.clip(mass, 0.0, None, out=mass)
+    # edge j of the concatenation is bin k_lo + (j - start) of its spec
+    k_offsets = k_los - starts
+    means = np.array([specs[i].mean for i in index.tolist()])
+    stds = np.array([specs[i].std for i in index.tolist()])
+    total = int(counts.sum())
+    cdf = np.empty(total)
+    for first in range(0, total, PASS_EDGES):
+        j = np.arange(first, min(first + PASS_EDGES, total))
+        owner = np.searchsorted(starts, j, side="right") - 1
+        # Bin k covers [center - w/2, center + w/2]; the edge below zero
+        # is clamped so negative latencies never receive mass.
+        edges = (j + k_offsets[owner] - 0.5) * bin_width
+        np.clip(edges, 0.0, None, out=edges)
+        cdf[first:first + j.size] = _ndtr((edges - means[owner]) / stds[owner])
     for i, k_lo, start, n in zip(
         index.tolist(), k_los.tolist(), starts.tolist(), counts.tolist()
     ):
-        seg = mass[start:start + n - 1]
-        total = seg.sum()
-        if total <= 0.0:
+        # mass[b] = cdf[b + 1] - cdf[b] over the spec's own edges
+        seg = cdf[start + 1:start + n] - cdf[start:start + n - 1]
+        np.clip(seg, 0.0, None, out=seg)
+        total_mass = seg.sum()
+        if total_mass <= 0.0:
             # Entire truncation window collapsed onto one grid point.
             out[i] = point_mass(specs[i].mean, bin_width)
             continue
-        seg = seg / total
+        seg /= total_mass
         seg.setflags(write=False)
         out[i] = LatencyPmf(bin_width, k_lo * bin_width, seg)
     return out

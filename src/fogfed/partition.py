@@ -292,11 +292,17 @@ def propart(
     parts: list[WorkflowSpec] = []
     est_success: list[float] = []
 
-    def descend(sub: WorkflowSpec, parent_p: float) -> None:
+    # Depth first, side s before side t.  A loop rather than a nested
+    # recursive function: that function's closure would refer to itself,
+    # and the reference cycle would keep the completion model, with every
+    # PMF it caches, alive until the cyclic collector runs.
+    pending = [(w, root_p)]
+    while pending:
+        sub, parent_p = pending.pop()
         if len(sub.vertices) == 1:
             parts.append(sub)
             est_success.append(parent_p)
-            return
+            continue
         cut = min_cut(sub, _data_weights(sub))
         order = sub.topo_order
         side_s = tuple(v for v in order if v in cut.side_s)
@@ -318,11 +324,9 @@ def propart(
         if not accepted:
             parts.append(sub)
             est_success.append(parent_p)
-            return
-        descend(sub.induced(frozenset(side_s)), p_s)
-        descend(sub.induced(frozenset(side_t)), p_t)
-
-    descend(w, root_p)
+            continue
+        pending.append((sub.induced(frozenset(side_t)), p_t))
+        pending.append((sub.induced(frozenset(side_s)), p_s))
     return PartitionPlan(
         method="propart",
         alpha=cfg.alpha,

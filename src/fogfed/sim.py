@@ -275,8 +275,13 @@ class _Engine:
         # (plan key, id(slacks)) -> (slacks, partition budgets); holding
         # the slacks keeps its id unique for the run
         self._budgets: dict = {}
-        # gateway -> (fog id, runtime) of the fogs its allocators read
+        # gateway -> (fog id, runtime, node count) of the fogs its
+        # allocators read
         self._watched: dict[int, list] = {}
+        # the plain function: a bound method held by its own engine is a
+        # reference cycle, which keeps each finished run's engine and its
+        # instances alive until the cyclic collector runs
+        self._decide = _Engine._DECIDERS[cfg.alloc_method]
         self._heap: list = []
         self._seq = 0
         self._now = 0.0
@@ -297,19 +302,26 @@ class _Engine:
         """Expected waits on the gateway and its neighbours.
 
         Those are the only fogs an allocator reads.  A busy node's ``u`` is
-        never before now, since its completion event is still queued.
+        never before now, since its completion event is still queued.  An
+        idle fog has no running work to sum; otherwise the busy nodes are
+        summed in node order.
         """
         watched = self._watched.get(gateway)
         if watched is None:
             fogs = (gateway, *self.ctx.topo.neighbors(gateway))
-            watched = [(fid, self.runtimes[fid]) for fid in fogs]
+            watched = [
+                (fid, self.runtimes[fid], len(self.runtimes[fid].busy_until))
+                for fid in fogs
+            ]
             self._watched[gateway] = watched
         now = self._now
         waits = {}
-        for fid, rt in watched:
+        for fid, rt, n in watched:
+            if rt.free == n:
+                waits[fid] = rt.pending_mean_ms / n
+                continue
             running = sum([u - now for u in rt.busy_until if u is not None])
-            backlog = rt.pending_mean_ms + running
-            waits[fid] = backlog / len(rt.busy_until)
+            waits[fid] = (rt.pending_mean_ms + running) / n
         return QueueEstimate(waits)
 
     def _plan_for(self, request: Request) -> tuple:
@@ -346,58 +358,8 @@ class _Engine:
         self, plan: PartitionPlan, request: Request
     ) -> list[AllocationDecision]:
         queues = self._queue_snapshot(request.origin_fog)
-        deadlines = self._deadlines(plan, request)
-        origin = request.origin_fog
-        if self.cfg.alloc_method == "mr":
-            decisions = allocate_mr(
-                plan,
-                origin,
-                self.ctx.topo,
-                self.ctx.etc,
-                self.ctx.ett,
-                queues,
-                deadlines,
-                self.cfg.ci_level,
-                model=self.ctx.model,
-            )
-        else:
-            decisions = []
-            for idx, part in enumerate(plan.partitions):
-                pinned = plan.must_run_local[idx]
-                if self.cfg.alloc_method == "mect":
-                    d = allocate_mect(
-                        part,
-                        origin,
-                        self.ctx.topo,
-                        self.ctx.etc,
-                        queues,
-                        pinned=pinned,
-                        partition_index=idx,
-                        model=self.ctx.model,
-                    )
-                elif self.cfg.alloc_method == "mcc":
-                    d = allocate_mcc(
-                        part,
-                        origin,
-                        self.ctx.topo,
-                        self.ctx.etc,
-                        queues,
-                        deadlines[idx],
-                        pinned=pinned,
-                        partition_index=idx,
-                        model=self.ctx.model,
-                    )
-                else:
-                    d = allocate_no_federation(
-                        part,
-                        origin,
-                        queues=queues,
-                        partition_index=idx,
-                        model=self.ctx.model,
-                    )
-                decisions.append(d)
+        decisions = self._decide(self, plan, request, queues)
         for d in decisions:
-            self.mr_violations += len(validate_mr_decision(d))
             if d.chosen != request.origin_fog:
                 self.remote_assignments += 1
             if self.trace is not None:
@@ -405,6 +367,84 @@ class _Engine:
                     _decision_line(self._now, request, d, self._stamp)
                 )
         return decisions
+
+    # The allocators are looked up in this module's namespace at each call,
+    # so a replaced ``fogfed.sim.allocate_*`` is the one that runs.
+
+    def _decide_mr(self, plan, request, queues):
+        ctx = self.ctx
+        decisions = allocate_mr(
+            plan,
+            request.origin_fog,
+            ctx.topo,
+            ctx.etc,
+            ctx.ett,
+            queues,
+            self._deadlines(plan, request),
+            self.cfg.ci_level,
+            model=ctx.model,
+        )
+        # the contract check of the other methods is empty by definition
+        for d in decisions:
+            self.mr_violations += len(validate_mr_decision(d))
+        return decisions
+
+    def _decide_mect(self, plan, request, queues):
+        ctx = self.ctx
+        return [
+            allocate_mect(
+                part,
+                request.origin_fog,
+                ctx.topo,
+                ctx.etc,
+                queues,
+                pinned=pinned,
+                partition_index=idx,
+                model=ctx.model,
+            )
+            for idx, (part, pinned) in enumerate(
+                zip(plan.partitions, plan.must_run_local)
+            )
+        ]
+
+    def _decide_mcc(self, plan, request, queues):
+        ctx = self.ctx
+        deadlines = self._deadlines(plan, request)
+        return [
+            allocate_mcc(
+                part,
+                request.origin_fog,
+                ctx.topo,
+                ctx.etc,
+                queues,
+                deadlines[idx],
+                pinned=pinned,
+                partition_index=idx,
+                model=ctx.model,
+            )
+            for idx, (part, pinned) in enumerate(
+                zip(plan.partitions, plan.must_run_local)
+            )
+        ]
+
+    def _decide_nofed(self, plan, request, queues):
+        return [
+            allocate_no_federation(
+                part,
+                request.origin_fog,
+                queues=queues,
+                partition_index=idx,
+                model=self.ctx.model,
+            )
+            for idx, part in enumerate(plan.partitions)
+        ]
+
+    _DECIDERS = {
+        "mr": _decide_mr,
+        "mect": _decide_mect,
+        "mcc": _decide_mcc,
+        "nofed": _decide_nofed,
+    }
 
     # --------------------------------------------------------------- events
 

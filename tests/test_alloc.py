@@ -28,7 +28,7 @@ from fogfed.dist import (
     prob_on_time,
     shift,
 )
-from fogfed.federation import EtcMatrix, EttMatrix, build_grid
+from fogfed.federation import EtcMatrix, EttMatrix, build_grid, hop_distance
 from fogfed.model import MicroServiceSpec, WorkflowSpec
 from fogfed.partition import PartitionPlan, no_partition
 
@@ -341,6 +341,10 @@ class TestQueueEstimate:
         with pytest.raises(ValueError):
             QueueEstimate({0: -1.0})
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            QueueEstimate({0: 1.0, 3: math.nan})
+
     def test_missing_fog_is_zero(self):
         q = QueueEstimate({0: 5.0})
         assert q.wait(1) == 0.0
@@ -398,3 +402,298 @@ def test_completion_offsets_match_shifted_pmf(d, wait, deadline, level):
     ref_ci = central_ci(ref, level)
     assert (ci.lo, ci.hi, ci.level) == (ref_ci.lo, ref_ci.hi, ref_ci.level)
     assert abs(mean_ms - ref.mean) <= 1e-9
+
+
+# ------------------------------------------------- candidate-table oracle
+#
+# The allocator bodies as they were before the candidate tables: every
+# candidate's fog list, hop count and completion looked up per decision.
+# The table-driven allocators must decide exactly as these do.
+
+
+def reference_allocate_mr(
+    plan, local, topo, etc, ett, queues, deadlines_rel, ci_level=0.95,
+    model=None,
+):
+    if len(deadlines_rel) != len(plan.partitions):
+        raise ValueError("one deadline per partition required")
+    m = model if model is not None else CompletionModel(etc, ett)
+    decisions = []
+    origin = local
+    for idx, part in enumerate(plan.partitions):
+        delta = deadlines_rel[idx]
+        types = part.topo_order
+        p_r, ci_r, mean_r = m.completion(types, local, 0, ci_level).at(
+            queues.wait(local), delta
+        )
+        local_rec = CandidateRecord(
+            fog=local, hops=0, mean_ms=mean_r, p=p_r, ci=ci_r
+        )
+        if plan.must_run_local[idx]:
+            decisions.append(
+                AllocationDecision(
+                    "mr", idx, local, local, "forced_local_pinned", (local_rec,)
+                )
+            )
+            origin = local
+            continue
+        remotes = []
+        for g in topo.neighbors(local):
+            hops = hop_distance(topo, origin, g)
+            p_g, ci_g, mean_g = m.completion(types, g, hops, ci_level).at(
+                queues.wait(g), delta
+            )
+            remotes.append((g, hops, mean_g, p_g, ci_g))
+        chosen = local
+        reason = "local_default" if not remotes else "local_higher_p"
+        blocked = set()
+        f_ordered = sorted(
+            (r for r in remotes if r[3] > p_r), key=lambda r: (-r[3], r[0])
+        )
+        for g, _hops, _mean, _p, ci_g in f_ordered:
+            if ci_disjoint(ci_g, ci_r):
+                chosen = g
+                reason = "remote_ci_disjoint"
+                break
+            blocked.add(g)
+        records = [local_rec] + [
+            CandidateRecord(
+                fog=g, hops=hops, mean_ms=mean_g, p=p_g, ci=ci_g,
+                in_f=p_g > p_r, blocked=g in blocked,
+            )
+            for g, hops, mean_g, p_g, ci_g in remotes
+        ]
+        decisions.append(
+            AllocationDecision("mr", idx, local, chosen, reason, tuple(records))
+        )
+        origin = chosen
+    return decisions
+
+
+def reference_allocate_mect(
+    unit, local, topo, etc, queues, *, pinned=False, partition_index=0,
+    model=None,
+):
+    m = model if model is not None else CompletionModel(etc)
+    types = unit.topo_order
+    if pinned:
+        rec = CandidateRecord(
+            fog=local,
+            hops=0,
+            mean_ms=queues.wait(local) + m.mean_exec_sum(types, local),
+        )
+        return AllocationDecision(
+            "mect", partition_index, local, local, "forced_local_pinned", (rec,)
+        )
+    records = []
+    best_fog, best_ms = local, math.inf
+    for g in [local, *topo.neighbors(local)]:
+        ms = queues.wait(g) + m.mean_exec_sum(types, g)
+        records.append(
+            CandidateRecord(fog=g, hops=0 if g == local else 1, mean_ms=ms)
+        )
+        if ms < best_ms:
+            best_fog, best_ms = g, ms
+    reason = "local_default" if best_fog == local else "min_expected_completion"
+    return AllocationDecision(
+        "mect", partition_index, local, best_fog, reason, tuple(records)
+    )
+
+
+def reference_allocate_mcc(
+    unit, local, topo, etc, queues, deadline_rel, *, pinned=False,
+    partition_index=0, model=None,
+):
+    m = model if model is not None else CompletionModel(etc)
+    types = unit.topo_order
+    if pinned:
+        exec_ms = m.mean_exec_sum(types, local)
+        rec = CandidateRecord(
+            fog=local,
+            hops=0,
+            mean_ms=queues.wait(local) + exec_ms,
+            certainty=deadline_rel - exec_ms,
+        )
+        return AllocationDecision(
+            "mcc", partition_index, local, local, "forced_local_pinned", (rec,)
+        )
+    records = []
+    best_fog, best_c, best_ms = None, -math.inf, math.inf
+    for g in [local, *topo.neighbors(local)]:
+        exec_ms = m.mean_exec_sum(types, g)
+        ms = queues.wait(g) + exec_ms
+        c = deadline_rel - exec_ms
+        records.append(
+            CandidateRecord(
+                fog=g, hops=0 if g == local else 1, mean_ms=ms, certainty=c
+            )
+        )
+        if c > 0 and c > best_c:
+            best_fog, best_c, best_ms = g, c, ms
+    if best_fog is None or deadline_rel - best_ms <= 0:
+        return AllocationDecision(
+            "mcc", partition_index, local, local,
+            "local_no_positive_certainty", tuple(records),
+        )
+    reason = "local_default" if best_fog == local else "max_certainty"
+    return AllocationDecision(
+        "mcc", partition_index, local, best_fog, reason, tuple(records)
+    )
+
+
+def _decision_key(d):
+    """Everything a decision records; floats by repr so NaN compares equal."""
+    return (
+        d.method, d.partition_index, d.local_fog, d.chosen, d.reason,
+        tuple(
+            (
+                c.fog, c.hops, repr(c.mean_ms), repr(c.p),
+                None if c.ci is None
+                else (repr(c.ci.lo), repr(c.ci.hi), repr(c.ci.level)),
+                c.in_f, c.blocked, repr(c.certainty),
+            )
+            for c in d.candidates
+        ),
+    )
+
+
+ORACLE_TYPES = ("a", "b", "c")
+
+
+@pytest.fixture(scope="module")
+def oracle_federation():
+    """A 3x3 grid whose (type, fog) normals make CIs sometimes overlap."""
+    topo = build_grid(3, 3, seed=1)
+    rng = np.random.default_rng(11)
+    etc = _etc_normals(
+        {
+            (t, f): (float(rng.uniform(20.0, 90.0)), float(rng.uniform(0, 15)))
+            for t in ORACLE_TYPES
+            for f in topo.fog_ids()
+        }
+    )
+    ett = _ett_points(ORACLE_TYPES, {1: 6.0, 2: 13.0, 3: 19.0, 4: 27.0})
+    return topo, etc, ett
+
+
+def _oracle_plan(parts, pinned):
+    """A plan of chain partitions over ``ORACLE_TYPES`` ids."""
+    specs = []
+    for ids in parts:
+        vs = tuple(
+            MicroServiceSpec(t, t, "o", NormalSpec(10.0, 1.0), 0.5)
+            for t in ids
+        )
+        specs.append(WorkflowSpec("o", vs, tuple(zip(ids, ids[1:]))))
+    return PartitionPlan(
+        "propart", 0.5, 0.0, tuple(specs), (0.5,) * len(specs), tuple(pinned)
+    )
+
+
+oracle_cases = st.integers(min_value=1, max_value=3).flatmap(
+    lambda n: st.tuples(
+        st.lists(
+            st.lists(
+                st.sampled_from(ORACLE_TYPES), min_size=1, max_size=3,
+                unique=True,
+            ),
+            min_size=n, max_size=n,
+        ),
+        st.lists(st.booleans(), min_size=n, max_size=n),
+        st.lists(
+            st.floats(min_value=0.0, max_value=400.0), min_size=n, max_size=n
+        ),
+    )
+)
+oracle_waits = st.dictionaries(
+    st.integers(min_value=0, max_value=8),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=300.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    oracle_cases,
+    st.integers(min_value=0, max_value=8),
+    oracle_waits,
+    st.sampled_from([0.9, 0.95]),
+)
+def test_candidate_tables_decide_as_reference(
+    oracle_federation, case, local, waits, level
+):
+    topo, etc, ett = oracle_federation
+    parts, pinned, deadlines = case
+    plan = _oracle_plan(parts, pinned)
+    queues = QueueEstimate(waits)
+    deadlines = tuple(deadlines)
+    want = [
+        _decision_key(d)
+        for d in reference_allocate_mr(
+            plan, local, topo, etc, ett, queues, deadlines, level
+        )
+    ]
+    model = CompletionModel(etc, ett)
+    # a cold model builds the tables, a warm one reads them
+    for _ in range(2):
+        got = allocate_mr(
+            plan, local, topo, etc, ett, queues, deadlines, level, model=model
+        )
+        assert [_decision_key(d) for d in got] == want
+    # only unpinned partitions look at remote completions
+    unpinned = {
+        p.topo_order for p, pin in zip(plan.partitions, pinned) if not pin
+    }
+    for key in model._cache:
+        if key[0] == "mr" or (len(key) >= 3 and key[0] != "mean" and key[2]):
+            types = key[1] if key[0] == "mr" else key[0]
+            assert types in unpinned, key
+    for idx, (part, pin) in enumerate(zip(plan.partitions, pinned)):
+        for new, ref, extra in (
+            (allocate_mect, reference_allocate_mect, ()),
+            (allocate_mcc, reference_allocate_mcc, (deadlines[idx],)),
+        ):
+            want_d = ref(
+                part, local, topo, etc, queues, *extra, pinned=pin,
+                partition_index=idx,
+            )
+            for _ in range(2):
+                got_d = new(
+                    part, local, topo, etc, queues, *extra, pinned=pin,
+                    partition_index=idx, model=model,
+                )
+                assert _decision_key(got_d) == _decision_key(want_d)
+
+
+def test_pinned_partition_adds_no_remote_entry(oracle_federation):
+    topo, etc, ett = oracle_federation
+    plan = _oracle_plan([("a", "b"), ("c",)], [True, True])
+    model = CompletionModel(etc, ett)
+    decisions = allocate_mr(
+        plan, 4, topo, etc, ett, _no_wait(topo), (90.0, 90.0), model=model
+    )
+    assert [d.reason for d in decisions] == ["forced_local_pinned"] * 2
+    assert model._cache
+    for key in model._cache:
+        assert key[0] != "mr", key
+        if len(key) >= 3:
+            assert key[2] == 0, key
+
+
+def test_model_refuses_a_second_topology(oracle_federation):
+    # a 9x1 row shares the 3x3 grid's fog ids but not its neighbours
+    topo, etc, ett = oracle_federation
+    row = build_grid(9, 1, seed=1)
+    plan = _oracle_plan([("a", "b")], [False])
+    unit = plan.partitions[0]
+    model = CompletionModel(etc, ett)
+    allocate_mr(plan, 4, topo, etc, ett, _no_wait(topo), (90.0,), model=model)
+    allocate_mect(unit, 4, topo, etc, _no_wait(topo), model=model)
+    allocate_mcc(unit, 4, topo, etc, _no_wait(topo), 90.0, model=model)
+    with pytest.raises(ValueError, match="another topology"):
+        allocate_mr(
+            plan, 4, row, etc, ett, _no_wait(row), (90.0,), model=model
+        )
+    with pytest.raises(ValueError, match="another topology"):
+        allocate_mect(unit, 4, row, etc, _no_wait(row), model=model)
+    with pytest.raises(ValueError, match="another topology"):
+        allocate_mcc(unit, 4, row, etc, _no_wait(row), 90.0, model=model)

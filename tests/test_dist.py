@@ -290,12 +290,51 @@ def test_ndtr_is_bit_equal_to_scipy():
         max_size=8,
     ),
     st.sampled_from([0.25, 1.0, 2.0]),
+    st.sampled_from([7, 500, dist.PASS_EDGES]),
 )
-def test_pmfs_from_normal_equals_one_spec_calls(specs, width):
-    batch = dist.pmfs_from_normal(specs, width)
+def test_pmfs_from_normal_equals_one_spec_calls(specs, width, pass_edges):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "PASS_EDGES", pass_edges)
+        batch = dist.pmfs_from_normal(specs, width)
     assert len(batch) == len(specs)
     for spec, got in zip(specs, batch):
-        want = dist.pmf_from_normal(spec, width)
+        want = _one_pass_pmf(spec, width)
+        assert (got.origin, got.bin_width) == (want.origin, want.bin_width)
+        assert np.array_equal(got.mass, want.mass)
+
+
+def _one_pass_pmf(spec, width):
+    """One spec binned with all its edges in a single ``_ndtr`` pass."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "PASS_EDGES", 1 << 40)
+        return dist.pmf_from_normal(spec, width)
+
+
+def test_pass_boundaries_inside_specs_keep_arrays():
+    # 1602 edges each, so the first pass boundary falls inside the third
+    # spec; the fourth alone spans more than five passes
+    specs = [NormalSpec(1000.0 + k, 200.0) for k in range(3)]
+    specs += [NormalSpec(12_000.0, 2990.0), NormalSpec(40.0, 0.0)]
+    edges = [
+        math.ceil(s.mean + 4 * s.std) - math.floor(s.mean - 4 * s.std) + 2
+        for s in specs[:4]
+    ]
+    assert sum(edges[:2]) < dist.PASS_EDGES < sum(edges[:3])
+    assert edges[3] > 5 * dist.PASS_EDGES
+    calls = []
+    ndtr = dist._ndtr
+
+    def counting(a):
+        calls.append(len(a))
+        return ndtr(a)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dist, "_ndtr", counting)
+        batch = dist.pmfs_from_normal(specs, 1.0)
+    assert max(calls) == dist.PASS_EDGES
+    assert sum(calls) == sum(edges)
+    for spec, got in zip(specs, batch):
+        want = _one_pass_pmf(spec, 1.0)
         assert (got.origin, got.bin_width) == (want.origin, want.bin_width)
         assert np.array_equal(got.mass, want.mass)
 

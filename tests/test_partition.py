@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fogfed.alloc import CompletionModel
-from fogfed.dist import NormalSpec, point_mass
+from fogfed.dist import NormalSpec, point_mass, prob_on_time
 from fogfed.federation import EtcMatrix
 from fogfed.model import (
     Edge,
@@ -16,6 +16,11 @@ from fogfed.model import (
 )
 from fogfed.partition import (
     PartitionConfig,
+    PartitionPlan,
+    SplitDecision,
+    _best_prob,
+    _data_weights,
+    _pinned_flags,
     baseline_least_data,
     baseline_mincut,
     build_plan,
@@ -270,6 +275,102 @@ class TestProPart:
                 astuple(d) for d in fresh.trace
             ]
 
+
+    def test_plan_leaves_no_reference_cycle(self):
+        """Nothing of a finished plan build keeps the model alive: a
+        context's cached PMFs go with the context, not at the next run of
+        the cyclic collector."""
+        import gc
+        import weakref
+
+        w = _chain(["a", "b", "c", "d"])
+        model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
+        req = _request(w, 50.0)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            plan = propart(w, model, req, PartitionConfig(alpha=0.5))
+            assert len(plan.trace) >= 2  # the search went below the root
+            ref = weakref.ref(model)
+            del model
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_matches_recursive_reference_on_random_chains(self):
+        rng = np.random.default_rng(77)
+        accepted = 0
+        for _ in range(60):
+            ids = [f"v{i}" for i in range(int(rng.integers(2, 8)))]
+            w = _chain(ids, [float(rng.integers(1, 9)) for _ in ids[1:]])
+            entries, specs = {}, {}
+            for t in ids:
+                # the gateway, fog 0, is the slower one on average
+                for fog, (lo, hi) in enumerate(((20, 60), (5, 40))):
+                    ms = float(rng.integers(lo, hi))
+                    entries[(t, fog)] = point_mass(ms, 1.0)
+                    specs[(t, fog)] = NormalSpec(ms, 0.0)
+            etc = EtcMatrix(1.0, entries, specs)
+            req = _request(w, float(rng.integers(10, 40)))
+            cfg = PartitionConfig(alpha=0.9)
+            got = propart(w, CompletionModel(etc), req, cfg)
+            want = reference_propart(w, CompletionModel(etc), req, cfg)
+            assert _plan_key(got) == _plan_key(want)
+            accepted += sum(d.accepted for d in got.trace)
+        assert accepted > 10
+
+
+def _plan_key(plan):
+    return (
+        plan.method, plan.alpha, repr(plan.root_p), plan.partitions,
+        repr(plan.est_success), plan.must_run_local,
+        [astuple(d) for d in plan.trace],
+    )
+
+
+def reference_propart(w, model, request, cfg):
+    """``propart`` as a recursive descent: side s, then side t."""
+    slacks = request.slacks
+    types = w.topo_order
+    root_p = prob_on_time(
+        model.end_to_end(types, request.origin_fog, 0),
+        sum(slacks[v] for v in types),
+    )
+    if root_p >= cfg.alpha or len(w.vertices) == 1:
+        return PartitionPlan(
+            "propart", cfg.alpha, root_p, (w,), (root_p,),
+            _pinned_flags((w,)),
+        )
+    trace, parts, est_success = [], [], []
+
+    def descend(sub, parent_p):
+        if len(sub.vertices) == 1:
+            parts.append(sub)
+            est_success.append(parent_p)
+            return
+        cut = min_cut(sub, _data_weights(sub))
+        order = sub.topo_order
+        side_s = tuple(v for v in order if v in cut.side_s)
+        side_t = tuple(v for v in order if v in cut.side_t)
+        p_s = _best_prob(model, side_s, sum(slacks[v] for v in side_s))
+        p_t = _best_prob(model, side_t, sum(slacks[v] for v in side_t))
+        accepted = p_s > parent_p and p_t > parent_p
+        trace.append(
+            SplitDecision(order, parent_p, side_s, side_t, p_s, p_t, accepted)
+        )
+        if not accepted:
+            parts.append(sub)
+            est_success.append(parent_p)
+            return
+        descend(sub.induced(frozenset(side_s)), p_s)
+        descend(sub.induced(frozenset(side_t)), p_t)
+
+    descend(w, root_p)
+    return PartitionPlan(
+        "propart", cfg.alpha, root_p, tuple(parts), tuple(est_success),
+        _pinned_flags(tuple(parts)), tuple(trace),
+    )
 
 class TestBaselines:
     def test_no_partition_covers_everything(self):

@@ -712,6 +712,170 @@ def test_trace_line_of_every_engine_decision(monkeypatch):
         assert line == json.dumps(ref, sort_keys=True) + "\n"
 
 
+# ----------------------------------------------------------- queue snapshot
+
+
+def reference_waits(engine, gateway) -> dict:
+    """Queue waits by the one formula for every fog: the oracle.
+
+    Each busy node's remaining time is summed in node order, free nodes
+    filtered out, whatever the fog's state.
+    """
+    now = engine._now
+    waits = {}
+    for fid in (gateway, *engine.ctx.topo.neighbors(gateway)):
+        rt = engine.runtimes[fid]
+        running = sum([u - now for u in rt.busy_until if u is not None])
+        waits[fid] = (rt.pending_mean_ms + running) / len(rt.busy_until)
+    return waits
+
+
+def _hex_waits(waits: dict) -> dict:
+    return {fid: float.hex(w) for fid, w in waits.items()}
+
+
+remaining = st.floats(min_value=0.0, max_value=5000.0)
+pending = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1e6),
+    st.tuples(st.integers(min_value=1, max_value=8), pending),
+    st.tuples(st.lists(remaining, min_size=1, max_size=8), pending),
+    st.tuples(
+        st.lists(st.one_of(st.none(), remaining), min_size=0, max_size=6),
+        remaining,
+        pending,
+    ),
+)
+def test_queue_snapshot_equals_reference_formula(now, idle, busy, mixed):
+    import fogfed.sim as sim
+
+    # gateway 1 of a 3x1 row watches fog 0 (idle), itself (saturated) and
+    # fog 2 (mixed: one free node, one busy node, then any slots)
+    cfg = make_cfg([unit_app()], width=3, height=1, origin=1)
+    engine = sim._Engine(cfg, seed=0)
+    engine._now = now
+    slots = {
+        0: [None] * idle[0],
+        1: [now + r for r in busy[0]],
+        2: [None, now + mixed[1]]
+        + [None if r is None else now + r for r in mixed[0]],
+    }
+    pendings = {0: idle[1], 1: busy[1], 2: mixed[2]}
+    for fid, nodes in slots.items():
+        engine.runtimes[fid] = sim._FogRuntime(
+            nodes, nodes.count(None), pending_mean_ms=pendings[fid]
+        )
+    got = engine._queue_snapshot(1).waits
+    assert _hex_waits(got) == _hex_waits(reference_waits(engine, 1))
+
+
+def test_queue_snapshot_equals_reference_in_a_run(monkeypatch):
+    import fogfed.sim as sim
+
+    cfg = make_cfg(
+        [unit_app(mean_mi=400.0, std_mi=60.0)], width=3, height=1,
+        node_count=2, total=300, window=3000.0, alloc="mect", origin=1,
+    )
+    states = set()
+    snapshot = sim._Engine._queue_snapshot
+
+    def spy(engine, gateway):
+        want = _hex_waits(reference_waits(engine, gateway))
+        for fid in want:
+            rt = engine.runtimes[fid]
+            states.add(
+                "idle" if rt.free == len(rt.busy_until)
+                else "saturated" if rt.free == 0
+                else "mixed"
+            )
+        got = snapshot(engine, gateway)
+        assert _hex_waits(got.waits) == want
+        return got
+
+    monkeypatch.setattr(sim._Engine, "_queue_snapshot", spy)
+    run(cfg, seed=4)
+    assert states == {"idle", "saturated", "mixed"}
+
+
+def test_run_calls_the_module_attributes(monkeypatch):
+    """A replaced ``fogfed.sim`` allocator, sampler or validator is used.
+
+    Wrapping these module attributes is how a caller times or observes
+    each layer of a run without changing the program.
+    """
+    import fogfed.sim as sim
+
+    names = (
+        "allocate_mr", "allocate_mect", "allocate_mcc",
+        "allocate_no_federation", "sample", "validate_mr_decision",
+    )
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name):
+        original = getattr(sim, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(sim, name, counting(name))
+    cfg = make_cfg(
+        four_apps(), width=2, height=2, total=12, window=2000.0,
+        partition_method="propart",
+    )
+    allocator = {
+        "mr": "allocate_mr", "mect": "allocate_mect", "mcc": "allocate_mcc",
+        "nofed": "allocate_no_federation",
+    }
+    for alloc in ALLOC_METHODS:
+        for name in names:
+            calls[name] = 0
+        lines = []
+        run(dataclasses.replace(cfg, alloc_method=alloc), seed=5,
+            trace_sink=lines.append)
+        assert calls[allocator[alloc]] > 0
+        assert calls["sample"] > 0
+        # mr decides a whole request per call, the others one partition
+        assert calls[allocator[alloc]] == (12 if alloc == "mr" else len(lines))
+        # only mr decisions have a contract to check
+        assert calls["validate_mr_decision"] == (
+            len(lines) if alloc == "mr" else 0
+        )
+        others = set(allocator.values()) - {allocator[alloc]}
+        assert all(calls[name] == 0 for name in others)
+
+
+def test_finished_engine_is_freed_without_the_cyclic_collector():
+    """An engine holds every instance of its run; nothing may keep it alive
+    in a reference cycle once its run is over."""
+    import gc
+    import weakref
+
+    import fogfed.sim as sim
+
+    cfg = make_cfg(four_apps(), width=2, height=2, total=12, window=2000.0)
+    for alloc in ALLOC_METHODS:
+        run_cfg = dataclasses.replace(cfg, alloc_method=alloc)
+        requests = generate_workload(run_cfg.workload, 5, run_cfg.ctx)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            engine = sim._Engine(run_cfg, 5)
+            engine.run(requests, 5)
+            ref = weakref.ref(engine)
+            del engine
+            assert ref() is None, alloc
+        finally:
+            if enabled:
+                gc.enable()
+
+
 def test_degree_reported_for_origin():
     cfg = make_cfg(
         [unit_app()], width=3, height=3, node_count=1, fixed_mips=2000.0,
