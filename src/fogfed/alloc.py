@@ -48,7 +48,9 @@ REASONS = (
 # The records below are built once per request or per examined candidate,
 # so they are slotted rather than frozen (a frozen constructor sets each
 # field through ``object.__setattr__``).  Nothing changes a record after
-# it is built.
+# it is built.  The allocators' per-candidate loops pass a record's fields
+# by position: a sweep builds tens of thousands of them, and binding
+# keyword arguments costs more per call.
 
 
 @dataclass(slots=True, eq=False)
@@ -321,15 +323,10 @@ def allocate_mr(
                 reason = "remote_ci_disjoint"
                 break
             blocked.add(g)
+        # fog, hops, mean_ms, p, ci, in_f, blocked
         records = [local_rec] + [
             CandidateRecord(
-                fog=g,
-                hops=hops,
-                mean_ms=mean_g,
-                p=p_g,
-                ci=ci_g,
-                in_f=p_g > p_r,
-                blocked=g in blocked,
+                g, hops, mean_g, p_g, ci_g, p_g > p_r, g in blocked
             )
             for g, hops, mean_g, p_g, ci_g in remotes
         ]
@@ -371,7 +368,8 @@ def allocate_mect(
     best_fog, best_ms = local, math.inf
     for g, hops, exec_ms in m.mean_candidates(types, local, topo):
         ms = queues.wait(g) + exec_ms
-        records.append(CandidateRecord(fog=g, hops=hops, mean_ms=ms))
+        # fog, hops, mean_ms
+        records.append(CandidateRecord(g, hops, ms))
         if ms < best_ms:
             best_fog, best_ms = g, ms
     reason = "local_default" if best_fog == local else "min_expected_completion"
@@ -419,8 +417,9 @@ def allocate_mcc(
     for g, hops, exec_ms in m.mean_candidates(types, local, topo):
         ms = queues.wait(g) + exec_ms
         c = deadline_rel - exec_ms
+        # fog, hops, mean_ms, p, ci, in_f, blocked, certainty
         records.append(
-            CandidateRecord(fog=g, hops=hops, mean_ms=ms, certainty=c)
+            CandidateRecord(g, hops, ms, math.nan, None, False, False, c)
         )
         if c > 0 and c > best_c:
             best_fog, best_c, best_ms = g, c, ms

@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 
 from .federation import (
@@ -456,6 +455,10 @@ def iter_sweep(
         for task in tasks:
             yield runner.execute(task)
         return
+    # imported here: the pool loads multiprocessing, logging, subprocess and
+    # socket, which a serial run never uses
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(
         max_workers=parallel,
         initializer=_init_worker,

@@ -271,7 +271,10 @@ def propart(
     already clears ``cfg.alpha``.  Otherwise it is bisected at the
     data-weighted min-cut; a split is kept only when both sides beat the
     parent's probability (sides judged by their best fog, computation
-    latencies only), and the recursion continues on kept sides.
+    latencies only), and the recursion continues on kept sides.  A side
+    with a vertex that is both an entry and an exit has no bisection (the
+    vertex would belong to both sides), so it is kept whole, as a rejected
+    split is.
     """
     slacks = request.slacks
     types = w.topo_order
@@ -299,7 +302,7 @@ def propart(
     pending = [(w, root_p)]
     while pending:
         sub, parent_p = pending.pop()
-        if len(sub.vertices) == 1:
+        if set(sub.entries()).intersection(sub.exits()):
             parts.append(sub)
             est_success.append(parent_p)
             continue

@@ -5,6 +5,13 @@ partitioned (memoized per workflow shape) and allocated, then execute as
 micro-service instances on FIFO-queued fog nodes.  Actual execution and
 transfer durations are sampled from the same PMFs the estimators use, so
 there is no model mismatch unless a scenario injects one.
+
+Only the work a run's events cause is paid per event.  Arrivals are an
+exogenous stream known in advance, so they are merged in time order from
+the sorted request list instead of sitting in the event heap, which then
+holds only the few in-flight transfers and executions.  Each request's
+instances are linked to their successors when it arrives, and each carries
+its execution PMF, so no event looks an instance or a PMF up again.
 """
 
 from __future__ import annotations
@@ -12,8 +19,10 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
+from operator import attrgetter
 from types import MappingProxyType
 
 import numpy as np
@@ -28,7 +37,7 @@ from .alloc import (
     allocate_no_federation,
     validate_mr_decision,
 )
-from .dist import sample
+from .dist import LatencyPmf, sample
 from .federation import (
     EtcMatrix,
     EttMatrix,
@@ -53,7 +62,7 @@ from .partition import (
 
 ALLOC_METHODS = ("mr", "mect", "mcc", "nofed")
 
-_ARRIVAL, _TRANSFER, _EXEC_DONE = 0, 1, 2
+_TRANSFER, _EXEC_DONE = 0, 1
 
 
 @dataclass(frozen=True)
@@ -184,19 +193,31 @@ def generate_workload(
     """
     rng = np.random.default_rng([seed, 0])
     arrivals = np.sort(rng.uniform(0.0, spec.window_ms, spec.total_requests))
+    shapes = ctx.shapes
+    # (shape, slacks, kind) per (template, monolithic) slot, filled on first
+    # use: a context may hold a shape its ETC lacks, such as a monolithic
+    # shape no request takes at mix 0
+    stamps = [None] * (2 * len(shapes))
     requests = []
-    for i in range(spec.total_requests):
-        workflow, mono = ctx.shapes[i % len(ctx.shapes)]
+    for i, arrival in enumerate(arrivals.tolist()):
         is_mono = math.floor((i + 1) * spec.mix) > math.floor(i * spec.mix)
-        shape = mono if is_mono else workflow
+        slot = 2 * (i % len(shapes)) + is_mono
+        stamp = stamps[slot]
+        if stamp is None:
+            shape = shapes[slot // 2][is_mono]
+            stamp = stamps[slot] = (
+                shape,
+                ctx.shape_slacks(shape),
+                "monolithic" if is_mono else "workflow",
+            )
         requests.append(
             assign_deadlines(
-                shape,
-                float(arrivals[i]),
-                ctx.shape_slacks(shape),
+                stamp[0],
+                arrival,
+                stamp[1],
                 request_id=i,
                 origin_fog=ctx.origin_fog,
-                kind="monolithic" if is_mono else "workflow",
+                kind=stamp[2],
             )
         )
     return requests
@@ -216,11 +237,14 @@ def partition_deadlines(
 class _Wiring:
     """How one plan's requests instantiate: the same for every request.
 
-    ``vertices`` holds, in spec order, each vertex's id, partition index,
-    predecessor count and sorted successors.
+    ``vertices`` holds, in spec order, each vertex's id, partition index
+    and predecessor count.  ``links`` holds ``(i, successor indices)`` of
+    each vertex with successors, indices into ``vertices`` in sorted
+    successor order.
     """
 
-    vertices: tuple[tuple[str, int, int, tuple[str, ...]], ...]
+    vertices: tuple[tuple[str, int, int], ...]
+    links: tuple[tuple[int, tuple[int, ...]], ...]
     exits: int
 
 
@@ -228,26 +252,39 @@ def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
     part_of = {
         v.id: i for i, p in enumerate(plan.partitions) for v in p.vertices
     }
+    index = {v.id: i for i, v in enumerate(spec.vertices)}
     n_preds = {v.id: 0 for v in spec.vertices}
     for e in spec.edges:
         n_preds[e.dst] += 1
+    links = []
+    for v in spec.vertices:
+        successors = spec.successors(v.id)
+        if successors:
+            links.append((index[v.id], tuple(index[s] for s in successors)))
     return _Wiring(
-        tuple(
-            (v.id, part_of[v.id], n_preds[v.id], tuple(spec.successors(v.id)))
-            for v in spec.vertices
-        ),
+        tuple((v.id, part_of[v.id], n_preds[v.id]) for v in spec.vertices),
+        tuple(links),
         len(spec.exits()),
     )
 
 
 @dataclass(slots=True, eq=False)
 class _Instance:
+    """One vertex of one request, placed on ``fog``.
+
+    ``successors`` are the instances its output feeds, so links point
+    forward along the workflow's edges only and a finished request's
+    instances are freed by reference counting.  ``node`` is the node it
+    runs on once dispatched.
+    """
+
     request: Request
     vertex_id: str
     fog: int
-    mean_ms: float
+    pmf: LatencyPmf
     missing: int
-    successors: tuple[str, ...]
+    successors: Sequence[_Instance] = ()
+    node: int = -1
 
 
 @dataclass(slots=True, eq=False)
@@ -285,7 +322,6 @@ class _Engine:
         self._heap: list = []
         self._seq = 0
         self._now = 0.0
-        self._instances: dict[tuple[int, str], _Instance] = {}
         self._exits_left: dict[int, int] = {}
         self._completions: dict[int, float] = {}
         self.remote_assignments = 0
@@ -452,26 +488,27 @@ class _Engine:
         _spec, plan, wiring = self._plan_for(request)
         decisions = self._allocate(plan, request)
         origin = request.origin_fog
+        etc = self.ctx.etc
         self._exits_left[request.id] = wiring.exits
-        for vid, part_idx, n_preds, successors in wiring.vertices:
+        insts = []
+        for vid, part_idx, n_preds in wiring.vertices:
             fog = decisions[part_idx].chosen
             entry_needs_transfer = n_preds == 0 and fog != origin
+            pmf = etc.pmf(vid, fog)
             inst = _Instance(
-                request=request,
-                vertex_id=vid,
-                fog=fog,
-                mean_ms=self.ctx.etc.pmf(vid, fog).mean,
-                missing=n_preds + int(entry_needs_transfer),
-                successors=successors,
+                request, vid, fog, pmf, n_preds + entry_needs_transfer
             )
-            self._instances[(request.id, vid)] = inst
-            self.runtimes[fog].pending_mean_ms += inst.mean_ms
+            insts.append(inst)
+            self.runtimes[fog].pending_mean_ms += pmf.mean
             if entry_needs_transfer:
                 hops = hop_distance(self.ctx.topo, origin, fog)
                 dur = sample(self.ctx.ett.pmf(vid, hops), self.rng)
                 self._push(self._now + dur, _TRANSFER, inst)
             elif n_preds == 0:
                 self._enqueue(inst)
+        # no event of this request has run yet, so linking last is safe
+        for i, succ in wiring.links:
+            insts[i].successors = [insts[j] for j in succ]
 
     def _on_transfer(self, inst: _Instance) -> None:
         inst.missing -= 1
@@ -494,55 +531,74 @@ class _Engine:
             # the lowest free node, so snapshot sums keep their order
             node = rt.busy_until.index(None)
             inst = rt.queue.popleft()
-            dur = sample(self.ctx.etc.pmf(inst.vertex_id, fog), self.rng)
+            dur = sample(inst.pmf, self.rng)
             until = self._now + dur
             if rt.busy_until[node] is not None:
                 raise RuntimeError(f"fog {fog} node {node} dispatched twice")
             rt.busy_until[node] = until
             rt.free -= 1
-            rt.pending_mean_ms = max(0.0, rt.pending_mean_ms - inst.mean_ms)
-            self._push(until, _EXEC_DONE, (fog, node, inst))
+            rt.pending_mean_ms = max(0.0, rt.pending_mean_ms - inst.pmf.mean)
+            inst.node = node
+            self._push(until, _EXEC_DONE, inst)
 
-    def _on_exec_done(self, fog: int, node: int, inst: _Instance) -> None:
+    def _on_exec_done(self, inst: _Instance) -> None:
+        fog = inst.fog
         rt = self.runtimes[fog]
-        rt.busy_until[node] = None
+        rt.busy_until[inst.node] = None
         rt.free += 1
-        request = inst.request
         if not inst.successors:
-            self._exits_left[request.id] -= 1
-            if self._exits_left[request.id] == 0:
-                self._completions[request.id] = self._now
-        for succ in inst.successors:
-            nxt = self._instances[(request.id, succ)]
+            rid = inst.request.id
+            self._exits_left[rid] -= 1
+            if self._exits_left[rid] == 0:
+                self._completions[rid] = self._now
+        for nxt in inst.successors:
             if nxt.fog == fog:
                 nxt.missing -= 1
                 if nxt.missing == 0:
                     self._enqueue(nxt)
             else:
                 hops = hop_distance(self.ctx.topo, fog, nxt.fog)
-                dur = sample(self.ctx.ett.pmf(succ, hops), self.rng)
+                dur = sample(self.ctx.ett.pmf(nxt.vertex_id, hops), self.rng)
                 self._push(self._now + dur, _TRANSFER, nxt)
         self._dispatch(fog)
 
     # ------------------------------------------------------------------ run
 
     def run(self, requests: list[Request], seed: int) -> SimReport:
-        for r in requests:
-            self._push(r.arrival_ms, _ARRIVAL, r)
+        """Simulate ``requests`` to quiescence.
+
+        Arrivals are taken in time order from the list, sorted stably, and
+        come before a heap event at the same time, as if each had been
+        pushed before the run started.
+        """
+        arrivals = sorted(requests, key=attrgetter("arrival_ms"))
+        heap = self._heap
+        i, n = 0, len(arrivals)
         last = -math.inf
-        while self._heap:
-            time, _, kind, payload = heapq.heappop(self._heap)
+        while True:
+            if i < n and (not heap or arrivals[i].arrival_ms <= heap[0][0]):
+                request = arrivals[i]
+                i += 1
+                time, kind = request.arrival_ms, None
+            elif heap:
+                time, _, kind, inst = heapq.heappop(heap)
+            else:
+                break
             if time < last:
                 raise RuntimeError(
                     f"event at {time} ms popped after one at {last} ms"
                 )
             last = self._now = time
-            if kind == _ARRIVAL:
-                self._on_arrival(payload)
+            if kind is None:
+                self._on_arrival(request)
             elif kind == _TRANSFER:
-                self._on_transfer(payload)
+                self._on_transfer(inst)
             else:
-                self._on_exec_done(*payload)
+                self._on_exec_done(inst)
+        return self._report(requests, seed)
+
+    def _report(self, requests: list[Request], seed: int) -> SimReport:
+        """The finished run's report; every request must have completed."""
         total = len(requests)
         if len(self._completions) != total:
             raise RuntimeError("simulation ended with unfinished requests")

@@ -706,13 +706,14 @@ def test_console_entry_point_installed():
 
 def test_cli_import_needs_only_numpy():
     # one fresh interpreter per module imported first, so an import cycle
-    # (partition imports alloc) fails whichever side comes first
+    # (partition imports alloc) fails whichever side comes first; the
+    # process pool is imported only by a --parallel sweep
     for first in ("dist", "federation", "model", "partition", "alloc",
                   "sim", "cli"):
         code = (
             f"import fogfed.{first}, fogfed.cli, sys; "
             "print(sorted({m.split('.')[0] for m in sys.modules} "
-            "& {'scipy', 'networkx'}))"
+            "& {'scipy', 'networkx', 'concurrent', 'multiprocessing'}))"
         )
         out = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True

@@ -200,6 +200,21 @@ class TestProPart:
         plan = propart(w, model, req, PartitionConfig(alpha=0.99))
         assert len(plan.partitions) == 1
 
+    def test_side_with_an_isolated_vertex_stays_whole(self):
+        """A fork's accepted split leaves {b, c}, where each vertex is both
+        an entry and an exit; no bisection exists, so the side is kept."""
+        vs = _vs("a", "b", "c")
+        w = WorkflowSpec("t", vs, (("a", "b"), ("a", "c")))
+        model = _model_two_fogs(["a", "b", "c"], 100.0, 10.0)
+        req = _request(w, 50.0)
+        plan = propart(w, model, req, PartitionConfig(alpha=0.9))
+        assert validate_plan(plan, w) == []
+        assert [tuple(v.id for v in p.vertices) for p in plan.partitions] == [
+            ("a",), ("b", "c")
+        ]
+        assert len(plan.trace) == 1 and plan.trace[0].accepted
+        assert plan.est_success == (plan.trace[0].p_s, plan.trace[0].p_t)
+
     def test_improving_split_accepted(self):
         w = _chain(["a", "b", "c", "d"])
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)

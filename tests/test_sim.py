@@ -242,6 +242,20 @@ def test_workload_requests_equal_hand_stamped_ones(app_context):
         ]
 
 
+def test_workload_at_mix_zero_never_reads_the_monolithic_shape():
+    # the ETC rates only the workflow's stages, so the monolithic shape's
+    # slacks cannot be computed; no request at mix 0 needs them
+    app = unit_app()
+    topo = build_grid(1, 1, 7, node_count=2, fixed_mips=2000.0)
+    etc = build_etc(topo, {v.id: v.work for v in app.vertices})
+    ett = build_ett(topo, LinkProfile(800.0, NormalSpec(20.0, 0.0)), {})
+    ctx = Context(topo, etc, ett, (app,), DeadlinePolicy())
+    with pytest.raises(KeyError):
+        ctx.shape_slacks(ctx.shapes[0][1])
+    reqs = generate_workload(WorkloadSpec(5, mix=0.0), seed=1, ctx=ctx)
+    assert [r.spec for r in reqs] == [app] * 5
+
+
 def test_workload_shares_one_read_only_slacks_per_shape(app_context):
     # every third request is monolithic, so each app comes in both shapes
     reqs = generate_workload(
@@ -874,6 +888,182 @@ def test_finished_engine_is_freed_without_the_cyclic_collector():
         finally:
             if enabled:
                 gc.enable()
+
+
+def test_no_instance_outlives_its_run_without_the_cyclic_collector(
+    monkeypatch,
+):
+    """Instances link only to their successors, so each request's instances
+    are freed by reference counting once its last one has run."""
+    import gc
+
+    import fogfed.sim as sim
+
+    cfg = make_cfg(
+        [_two_stage_chain(), *four_apps()], width=2, height=2, node_count=2, total=40,
+        window=2000.0, partition_method="min_cut",
+    )
+
+    def live_instances():
+        return sum(type(o) is sim._Instance for o in gc.get_objects())
+
+    seen = []
+    dispatch = sim._Engine._dispatch
+
+    def watch(engine, fog):
+        if len(engine._completions) == 20 and not seen[-1]:
+            seen[-1] = live_instances()
+        dispatch(engine, fog)
+
+    monkeypatch.setattr(sim._Engine, "_dispatch", watch)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for alloc in ALLOC_METHODS:
+            run_cfg = dataclasses.replace(cfg, alloc_method=alloc)
+            requests = generate_workload(run_cfg.workload, 5, run_cfg.ctx)
+            seen.append(0)
+            sim._Engine(run_cfg, 5).run(requests, 5)
+            assert seen[-1] > 0, alloc  # mid-run, the count sees instances
+            assert live_instances() == 0, alloc
+    finally:
+        if enabled:
+            gc.enable()
+
+
+# ------------------------------------------------------------ event order
+
+
+def reference_run(engine, requests, seed):
+    """The heap-only event loop: the oracle of the merged arrival stream.
+
+    Every arrival is pushed before the run starts, so its sequence number
+    puts it first among events at its time, and equal arrival times keep
+    list order.
+    """
+    import heapq
+
+    import fogfed.sim as sim
+
+    arrival = -1
+    for r in requests:
+        engine._push(r.arrival_ms, arrival, r)
+    last = -math.inf
+    while engine._heap:
+        time, _, kind, payload = heapq.heappop(engine._heap)
+        if time < last:
+            raise RuntimeError(f"event at {time} ms popped after {last} ms")
+        last = engine._now = time
+        if kind == arrival:
+            engine._on_arrival(payload)
+        elif kind == sim._TRANSFER:
+            engine._on_transfer(payload)
+        else:
+            engine._on_exec_done(payload)
+    return engine._report(requests, seed)
+
+
+def _two_stage_chain():
+    a = MicroServiceSpec("chain.a", "a", "chain", NormalSpec(200.0, 20.0), 1.0)
+    b = MicroServiceSpec("chain.b", "b", "chain", NormalSpec(400.0, 30.0), 0.1)
+    return WorkflowSpec("chain", (a, b), (("chain.a", "chain.b"),), 1.0)
+
+
+def _hex_run(engine, report, lines):
+    fields = [
+        float.hex(v) if isinstance(v, float) else v
+        for v in dataclasses.astuple(report)
+    ]
+    completions = [(k, float.hex(v)) for k, v in engine._completions.items()]
+    return fields, completions, lines
+
+
+@pytest.fixture(scope="module")
+def tie_cfg():
+    # 1 ms bins on integer origins: every execution and transfer lasts a
+    # whole number of ms, so integer arrivals tie with completions and
+    # transfers, and sampled (not point-mass) durations make the tie order
+    # visible through the draw order
+    return make_cfg(
+        [_two_stage_chain(), unit_app(mean_mi=300.0, std_mi=40.0)],
+        width=2, height=1, node_count=1, fixed_mips=2000.0, hop_std=3.0,
+        partition_method="min_cut",
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    arrivals=st.lists(
+        st.tuples(st.integers(0, 200), st.booleans()), min_size=1,
+        max_size=20,
+    ),
+    order=st.randoms(use_true_random=False),
+    alloc=st.sampled_from(ALLOC_METHODS),
+    seed=st.integers(0, 3),
+)
+def test_merged_arrivals_equal_the_heap_only_loop(
+    tie_cfg, arrivals, order, alloc, seed
+):
+    import fogfed.sim as sim
+
+    cfg = dataclasses.replace(tie_cfg, alloc_method=alloc)
+    ctx = cfg.ctx
+    requests = []
+    for i, (t, mono) in enumerate(arrivals):
+        spec = ctx.shapes[i % 2][mono]
+        requests.append(
+            assign_deadlines(
+                spec, float(t), ctx.shape_slacks(spec), request_id=i,
+                kind="monolithic" if mono else "workflow",
+            )
+        )
+    order.shuffle(requests)
+    runs = []
+    for loop in (sim._Engine.run, reference_run):
+        lines = []
+        engine = sim._Engine(cfg, seed, lines.append)
+        report = loop(engine, list(requests), seed)
+        runs.append(_hex_run(engine, report, lines))
+    assert runs[0] == runs[1]
+
+
+def test_arrival_tied_with_a_queued_event_runs_first(tie_cfg, monkeypatch):
+    """A list in which an arrival ties with a transfer or completion whose
+    order changes the draws: found by running the loop with arrivals after
+    heap events at equal times, which gives a different run."""
+    import fogfed.sim as sim
+
+    cfg = dataclasses.replace(tie_cfg, alloc_method="mr")
+    ctx = cfg.ctx
+    requests = []
+    for i, t, mono in (
+        (0, 90.0, False), (1, 156.0, True), (2, 117.0, True),
+        (3, 120.0, True), (4, 5.0, False),
+    ):
+        spec = ctx.shapes[i % 2][mono]
+        requests.append(
+            assign_deadlines(
+                spec, t, ctx.shape_slacks(spec), request_id=i,
+                kind="monolithic" if mono else "workflow",
+            )
+        )
+    ties = []
+    on_arrival = sim._Engine._on_arrival
+
+    def spy(engine, request):
+        heap = engine._heap
+        ties.append(bool(heap) and heap[0][0] == engine._now)
+        on_arrival(engine, request)
+
+    monkeypatch.setattr(sim._Engine, "_on_arrival", spy)
+    runs = []
+    for loop in (sim._Engine.run, reference_run):
+        lines = []
+        engine = sim._Engine(cfg, 0, lines.append)
+        report = loop(engine, list(requests), 0)
+        runs.append(_hex_run(engine, report, lines))
+    assert runs[0] == runs[1]
+    assert any(ties)
 
 
 def test_degree_reported_for_origin():
