@@ -47,10 +47,11 @@ REASONS = (
 
 # The records below are built once per request or per examined candidate,
 # so they are slotted rather than frozen (a frozen constructor sets each
-# field through ``object.__setattr__``).  Nothing changes a record after
-# it is built.  The allocators' per-candidate loops pass a record's fields
-# by position: a sweep builds tens of thousands of them, and binding
-# keyword arguments costs more per call.
+# field through ``object.__setattr__``).  ``allocate_mr`` sets ``blocked``
+# on the records in F that the CI gate rejects before it builds their
+# decision; nothing changes a record after that.  The allocators pass a
+# record's fields by position: a sweep builds tens of thousands of them,
+# and binding keyword arguments costs more per call.
 
 
 @dataclass(slots=True, eq=False)
@@ -264,6 +265,11 @@ class CompletionModel:
         return hit
 
 
+def _f_order(r: CandidateRecord) -> tuple[float, int]:
+    """Examination order of F: descending on-time probability, then fog id."""
+    return -r.p, r.fog
+
+
 def allocate_mr(
     plan: PartitionPlan,
     local: int,
@@ -295,9 +301,8 @@ def allocate_mr(
         p_r, ci_r, mean_r = m.completion(types, local, 0, ci_level).at(
             queues.wait(local), delta
         )
-        local_rec = CandidateRecord(
-            fog=local, hops=0, mean_ms=mean_r, p=p_r, ci=ci_r
-        )
+        # fog, hops, mean_ms, p, ci
+        local_rec = CandidateRecord(local, 0, mean_r, p_r, ci_r)
         if plan.must_run_local[idx]:
             decisions.append(
                 AllocationDecision(
@@ -306,30 +311,26 @@ def allocate_mr(
             )
             origin = local
             continue
-        remotes = []
+        records = [local_rec]
+        f = []
         table = m.mr_candidates(types, local, origin, ci_level, topo)
         for g, hops, c in table:
             p_g, ci_g, mean_g = c.at(queues.wait(g), delta)
-            remotes.append((g, hops, mean_g, p_g, ci_g))
+            in_f = p_g > p_r
+            # fog, hops, mean_ms, p, ci, in_f
+            rec = CandidateRecord(g, hops, mean_g, p_g, ci_g, in_f)
+            records.append(rec)
+            if in_f:
+                f.append(rec)
         chosen = local
-        reason = "local_default" if not remotes else "local_higher_p"
-        blocked = set()
-        f_ordered = sorted(
-            (r for r in remotes if r[3] > p_r), key=lambda r: (-r[3], r[0])
-        )
-        for g, _hops, _mean, _p, ci_g in f_ordered:
-            if ci_disjoint(ci_g, ci_r):
-                chosen = g
+        reason = "local_higher_p" if len(records) > 1 else "local_default"
+        f.sort(key=_f_order)
+        for rec in f:
+            if ci_disjoint(rec.ci, ci_r):
+                chosen = rec.fog
                 reason = "remote_ci_disjoint"
                 break
-            blocked.add(g)
-        # fog, hops, mean_ms, p, ci, in_f, blocked
-        records = [local_rec] + [
-            CandidateRecord(
-                g, hops, mean_g, p_g, ci_g, p_g > p_r, g in blocked
-            )
-            for g, hops, mean_g, p_g, ci_g in remotes
-        ]
+            rec.blocked = True
         decisions.append(
             AllocationDecision("mr", idx, local, chosen, reason, tuple(records))
         )
@@ -453,7 +454,8 @@ def allocate_no_federation(
         m = model if model is not None else CompletionModel(etc)
         wait = queues.wait(local) if queues is not None else 0.0
         ms = wait + m.mean_exec_sum(unit.topo_order, local)
-    rec = CandidateRecord(fog=local, hops=0, mean_ms=ms)
+    # fog, hops, mean_ms
+    rec = CandidateRecord(local, 0, ms)
     return AllocationDecision(
         "nofed", partition_index, local, local, "local_default", (rec,)
     )

@@ -87,7 +87,7 @@ class LatencyPmf:
     def __post_init__(self) -> None:
         if not self.bin_width > 0:
             raise ValueError(f"bin_width must be positive, got {self.bin_width}")
-        if self.origin < 0:
+        if not self.origin >= 0:
             raise ValueError(f"origin must be non-negative, got {self.origin}")
         arr = self.mass
         if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:

@@ -391,12 +391,15 @@ class Request:
     def __post_init__(self) -> None:
         if self.kind not in ("workflow", "monolithic"):
             raise ValueError(f"unknown request kind {self.kind!r}")
-        if self.arrival_ms < 0:
-            raise ValueError("arrival must be non-negative")
-        if self.workflow_deadline <= self.arrival_ms:
+        # written so that a NaN fails them
+        if not self.arrival_ms >= 0:
+            raise ValueError(
+                f"arrival must be non-negative, got {self.arrival_ms}"
+            )
+        if not self.workflow_deadline > self.arrival_ms:
             raise ValueError("workflow deadline must exceed the arrival time")
-        if any(s < 0 for s in self.slacks.values()):
-            raise ValueError("negative service slack")
+        if any(not s >= 0 for s in self.slacks.values()):
+            raise ValueError("service slack must be non-negative")
 
 
 def assign_deadlines(
@@ -415,12 +418,13 @@ def assign_deadlines(
     stage's slack, so the end-to-end budget grows with the number of
     stages.  The request keeps ``slacks`` itself, not a copy.
     """
+    # id, arrival_ms, kind, spec, origin_fog, workflow_deadline, slacks
     return Request(
-        id=request_id,
-        arrival_ms=arrival_ms,
-        kind=kind,
-        spec=w,
-        origin_fog=origin_fog,
-        workflow_deadline=arrival_ms + sum(slacks.values()),
-        slacks=slacks,
+        request_id,
+        arrival_ms,
+        kind,
+        w,
+        origin_fog,
+        arrival_ms + sum(slacks.values()),
+        slacks,
     )

@@ -3,8 +3,9 @@
 One engine instance per run.  Requests arrive at a gateway fog, get
 partitioned (memoized per workflow shape) and allocated, then execute as
 micro-service instances on FIFO-queued fog nodes.  Actual execution and
-transfer durations are sampled from the same PMFs the estimators use, so
-there is no model mismatch unless a scenario injects one.
+transfer durations are sampled from the same PMFs the estimators use, and
+no scenario field can inject a mismatch between the two yet, so every
+allocator decides with exact knowledge of the distributions it meets.
 
 Only the work a run's events cause is paid per event.  Arrivals are an
 exogenous stream known in advance, so they are merged in time order from
@@ -78,7 +79,7 @@ class WorkloadSpec:
             raise ValueError("need at least one request")
         if not 0.0 <= self.mix <= 1.0:
             raise ValueError("mix must lie in [0, 1]")
-        if self.window_ms <= 0:
+        if not self.window_ms > 0:
             raise ValueError("window must be positive")
 
 
@@ -177,8 +178,10 @@ class SimReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.meet_rate <= 1.0:
             raise ValueError("meet rate out of range")
-        if self.avg_makespan_ms < 0:
-            raise ValueError("negative makespan")
+        if not self.avg_makespan_ms >= 0:
+            raise ValueError(
+                f"makespan must be non-negative, got {self.avg_makespan_ms}"
+            )
 
 
 def generate_workload(
@@ -664,17 +667,10 @@ def _candidate_json(r) -> str:
     )
 
 
-def _decision_line(
+def _exact_decision_line(
     now: float, request: Request, d: AllocationDecision, stamp: str
 ) -> str:
-    """One decision's trace line, newline included.
-
-    Byte for byte ``json.dumps(record, sort_keys=True)`` of the record
-    whose keys are written here in sorted order: the time rounded to 1 µs,
-    the request, the decision with each candidate's mean rounded to 1 µs
-    and its on-time probability to 1e-6 (``null`` when it has none), and
-    the run's ``stamp`` (see ``_trace_stamp``).
-    """
+    """``_decision_line`` for any record, non-finite numbers included."""
     return (
         '{"app": %s, "candidates": [%s], "chosen": %d, "kind": %s, '
         '"local_fog": %d, "method": %s, "partition": %d, "reason": %s, '
@@ -693,6 +689,82 @@ def _decision_line(
             _json_number(round(now, 3)),
         )
     )
+
+
+_BOOL = ("false", "true")
+_CANDIDATE = (
+    '{"blocked": %s, "ci": [%r, %r], "fog": %d, "hops": %d, "in_f": %s, '
+    '"mean_ms": %r, "p": %s}'
+)
+_CANDIDATE_NO_CI = (
+    '{"blocked": %s, "ci": null, "fog": %d, "hops": %d, "in_f": %s, '
+    '"mean_ms": %r, "p": %s}'
+)
+# line template per candidate shape: one ``ci is None`` flag per candidate
+_LINE_TEMPLATES: dict[tuple[bool, ...], str] = {}
+
+
+def _line_template(shape: tuple[bool, ...]) -> str:
+    return (
+        '{"app": %s, "candidates": ['
+        + ", ".join([_CANDIDATE_NO_CI if n else _CANDIDATE for n in shape])
+        + '], "chosen": %d, "kind": %s, "local_fog": %d, "method": %s, '
+        '"partition": %d, "reason": %s, "request": %d%s%r}\n'
+    )
+
+
+def _decision_line(
+    now: float, request: Request, d: AllocationDecision, stamp: str
+) -> str:
+    """One decision's trace line, newline included.
+
+    Byte for byte ``json.dumps(record, sort_keys=True)`` of the record
+    whose keys are written here in sorted order: the time rounded to 1 µs,
+    the request, the decision with each candidate's mean rounded to 1 µs
+    and its on-time probability to 1e-6 (``null`` when it has none), and
+    the run's ``stamp`` (see ``_trace_stamp``).
+
+    The line is one ``%`` of the template of its candidate shape.  Floats
+    go through ``%r`` after ``float()``, which spells a finite float as
+    ``json.dumps`` does; a probability of exactly 0 or 1 needs no rounding.
+    ``%r`` spells a non-finite float ``inf`` or ``nan``, so a line holding
+    either text is encoded again by ``_exact_decision_line``.
+    """
+    cands = d.candidates
+    shape = tuple([r.ci is None for r in cands])
+    template = _LINE_TEMPLATES.get(shape)
+    if template is None:
+        template = _LINE_TEMPLATES[shape] = _line_template(shape)
+    args = [_json_str(request.spec.app)]
+    for r in cands:
+        ci = r.ci
+        if ci is None:
+            args.append(_BOOL[r.blocked])
+        else:
+            args += (_BOOL[r.blocked], float(ci.lo), float(ci.hi))
+        p = r.p
+        if p != p:
+            p = "null"
+        elif p == 0.0 or p == 1.0:
+            p = float(p)
+        else:
+            p = float(round(p, 6))
+        args += (r.fog, r.hops, _BOOL[r.in_f], float(round(r.mean_ms, 3)), p)
+    args += (
+        d.chosen,
+        _json_str(request.kind),
+        d.local_fog,
+        _json_str(d.method),
+        d.partition_index,
+        _json_str(d.reason),
+        request.id,
+        stamp,
+        float(round(now, 3)),
+    )
+    line = template % tuple(args)
+    if "inf" in line or "nan" in line:
+        return _exact_decision_line(now, request, d, stamp)
+    return line
 
 
 def simulate_requests(

@@ -475,27 +475,42 @@ def test_simulate_trace_equals_run_sweep_records(tmp_path, parallel):
     assert lines == [json.dumps(rec, sort_keys=True) for rec in records]
 
 
-# sha256 of the --trace file of one repetition at load 8, seed 1234:
-# fig11 runs mr at degrees 1-4, fig6 runs all four allocators
-_TRACE_SHA256 = {
-    "fig11_scaling_workflows":
+# (load, CSV sha256, --trace sha256) of one repetition at seed 1234: fig11
+# runs mr at degrees 1-4, fig6 all four allocators on workflows, and fig7
+# all four on monolithic requests at a load where mr sends some remote.
+# Common random numbers (ROADMAP item 3) will move every one of them.
+_PINNED_SHA256 = {
+    "fig11_scaling_workflows": (
+        8,
+        "c6155fcb6939b6bce793fd337e4498955c2f55f17900b3103bc7091045c9f78d",
         "0e26a7c09c25a016c4837954e2736b2703425b6f0f7c6d1b4d173fad635a5e03",
-    "fig6_alloc_workflows":
+    ),
+    "fig6_alloc_workflows": (
+        8,
+        "31062aedfa9adf22f852bb946ddb0c53d9e40e4c8ec512ecf1bf7e7123ceae11",
         "653c35b631c2ed481afdb86d0ae37655d97e57f3950cc0498b19bcfd36009438",
+    ),
+    "fig7_alloc_monolithic": (
+        40,
+        "6bbf51cdf3ae4f000d570c87cda4432badd3999f051dc32491060a7cce5a035e",
+        "09cb9c2527494620d7aa8afc6f19d0861dbb41b8cc5f41ce8cbf05aa8aa06fc7",
+    ),
 }
 
 
 @pytest.mark.parametrize("parallel", [1, 2])
-@pytest.mark.parametrize("suite", sorted(_TRACE_SHA256))
+@pytest.mark.parametrize("suite", sorted(_PINNED_SHA256))
 def test_simulate_trace_bytes_are_pinned(tmp_path, suite, parallel):
-    doc = {"suite": suite, "loads": [8], "repetitions": 1, "seed": 1234}
+    load, csv_sha, trace_sha = _PINNED_SHA256[suite]
+    doc = {"suite": suite, "loads": [load], "repetitions": 1, "seed": 1234}
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out.csv"
     cfg.write_text(json.dumps(doc))
     args = ["simulate", "--config", str(cfg), "--out", str(out), "--trace"]
     assert main(args + ["--parallel", str(parallel)]) == 0
     trace = (tmp_path / "out.csv.trace.jsonl").read_bytes()
-    assert hashlib.sha256(trace).hexdigest() == _TRACE_SHA256[suite]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
+    assert hashlib.sha256(trace).hexdigest() == trace_sha
 
 
 def _count_runs(monkeypatch):

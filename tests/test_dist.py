@@ -36,6 +36,14 @@ def test_normal_spec_rejects_bad_moments():
         NormalSpec(5.0, -1.0)
 
 
+@pytest.mark.parametrize(
+    "origin", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"]
+)
+def test_pmf_rejects_nan_or_negative_origin(origin):
+    with pytest.raises(ValueError, match="origin"):
+        LatencyPmf(1.0, origin, [1.0])
+
+
 def test_zero_std_yields_point_mass():
     d = dist.pmf_from_normal(NormalSpec(100.0, 0.0), 1.0)
     assert d.mass.size == 1

@@ -273,6 +273,47 @@ class TestDeadlines:
         with pytest.raises(ValueError):
             Request(0, 10.0, "workflow", w, 0, 50.0, {"aie.invert": -7.0})
 
+    @pytest.mark.parametrize(
+        "arrival, deadline",
+        [
+            (math.nan, 50.0),
+            (10.0, math.nan),
+            (math.nan, math.nan),
+            (-1.0, 50.0),
+            (10.0, 10.0),
+        ],
+        ids=[
+            "arrival-nan",
+            "deadline-nan",
+            "both-nan",
+            "arrival-negative",
+            "deadline-at-arrival",
+        ],
+    )
+    def test_request_rejects_nan_or_out_of_order_times(
+        self, arrival, deadline
+    ):
+        w = builtin_app("aie")
+        with pytest.raises(ValueError):
+            Request(0, arrival, "workflow", w, 0, deadline, {})
+
+    def test_request_rejects_nan_slack(self):
+        # the deadline is given, so it does not carry the slack's NaN
+        w = builtin_app("aie")
+        with pytest.raises(ValueError, match="slack"):
+            Request(0, 10.0, "workflow", w, 0, 50.0, {"aie.invert": math.nan})
+
+    @pytest.mark.parametrize(
+        "arrival, slack",
+        [(math.nan, 10.0), (0.0, math.nan)],
+        ids=["arrival-nan", "slack-nan"],
+    )
+    def test_assign_deadlines_rejects_nan(self, arrival, slack):
+        vs = (MicroServiceSpec("a", "a", "t", NormalSpec(10.0, 1.0), 1.0),)
+        w = WorkflowSpec("t", vs, ())
+        with pytest.raises(ValueError):
+            assign_deadlines(w, arrival, {"a": slack})
+
 
 class TestInduced:
     def test_subchain(self):

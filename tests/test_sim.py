@@ -133,6 +133,30 @@ def test_workload_spec_rejects_bad_values():
         WorkloadSpec(10, window_ms=0.0)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: WorkloadSpec(10, window_ms=math.nan),
+        lambda: WorkloadSpec(10, window_ms=-1.0),
+        lambda: WorkloadSpec(10, mix=math.nan),
+        lambda: _report(makespan=math.nan),
+        lambda: _report(makespan=-1.0),
+        lambda: _report(meet=math.nan),
+    ],
+    ids=[
+        "window-nan",
+        "window-negative",
+        "mix-nan",
+        "makespan-nan",
+        "makespan-negative",
+        "meet-rate-nan",
+    ],
+)
+def test_nan_or_negative_values_rejected(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_run_config_rejects_unknown_allocator():
     with pytest.raises(ValueError):
         make_cfg([unit_app()], alloc="greedy")
@@ -700,6 +724,102 @@ def test_trace_line_edge_values(candidate):
     )
     line = _decision_line(0.0, request, d, _trace_stamp("s", "m", 0))
     assert line.isascii() and line.count("\n") == 1
+
+
+def _spy_exact_encoder(monkeypatch):
+    """Record each call of the exact encoder; the calls stay unchanged."""
+    import fogfed.sim as sim
+
+    calls = []
+    exact = sim._exact_decision_line
+
+    def spy(now, request, d, stamp):
+        calls.append(d)
+        return exact(now, request, d, stamp)
+
+    monkeypatch.setattr(sim, "_exact_decision_line", spy)
+    return calls
+
+
+_FINITE_CANDIDATES = (
+    CandidateRecord(
+        4, 0, 1350.3774, 0.6573664, CiInterval(533.0, 2170.0, 0.95)
+    ),
+    CandidateRecord(2, 1, 3267.5, 0.0, CiInterval(2593.0, 3944.0, 0.95), True),
+    CandidateRecord(5, 2, 12.5, 1.0, CiInterval(0.5, 31.25, 0.95), True, True),
+    CandidateRecord(1, 1, 7.0),
+)
+
+
+@pytest.mark.parametrize(
+    "app, scenario, method",
+    [
+        ("inference", "s", "m"),
+        ("fire", "banana", "m"),
+        ("fire", "s", "mr-infra"),
+        ("NaN", "-inf", "nan"),
+    ],
+)
+def test_trace_line_with_inf_or_nan_in_names_falls_back_exactly(
+    monkeypatch, app, scenario, method
+):
+    calls = _spy_exact_encoder(monkeypatch)
+    d = AllocationDecision(
+        "mr", 0, 4, 2, "remote_ci_disjoint", _FINITE_CANDIDATES
+    )
+    _assert_line_is_reference(
+        1234.5678, _trace_request(app, 3), d, scenario, method, 7
+    )
+    assert calls == [d]
+
+
+def test_trace_line_of_numpy_floats(monkeypatch):
+    calls = _spy_exact_encoder(monkeypatch)
+    f = np.float64
+    candidates = (
+        CandidateRecord(
+            4, 0, f(1350.3774), f(0.6573664),
+            CiInterval(f(533.0), f(2170.5), 0.95),
+        ),
+        CandidateRecord(
+            2, 1, f(3267.0005), f(0.0), CiInterval(f(2593.0), f(3944.0), 0.95)
+        ),
+        CandidateRecord(
+            5, 2, f(2.675), f(1.0), CiInterval(f(0.1), f(1e16), 0.95), True
+        ),
+        CandidateRecord(1, 1, f(7.0)),
+    )
+    d = AllocationDecision("mr", 0, 4, 5, "remote_ci_disjoint", candidates)
+    _assert_line_is_reference(f(98.7654321), _trace_request(), d, "s", "m", 1)
+    stamp = _trace_stamp("s", "m", 1)
+    assert "np." not in _decision_line(f(0.0005), _trace_request(), d, stamp)
+    assert calls == []
+
+
+def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
+    monkeypatch,
+):
+    import fogfed.sim as sim
+    from fogfed.cli import run_sweep, scenario_from_config
+
+    calls = _spy_exact_encoder(monkeypatch)
+    monkeypatch.setattr(sim, "_LINE_TEMPLATES", {})
+    shapes = set()
+    encode = sim._decision_line
+
+    def spy(now, request, d, stamp):
+        shapes.add(tuple(r.ci is None for r in d.candidates))
+        return encode(now, request, d, stamp)
+
+    monkeypatch.setattr(sim, "_decision_line", spy)
+    doc = {"suite": "fig11_scaling_workflows", "repetitions": 1, "seed": 1234}
+    _, records = run_sweep(scenario_from_config(doc), parallel=1, trace=True)
+    assert len(records) == 5000
+    assert calls == []
+    assert set(sim._LINE_TEMPLATES) == shapes
+    # fig11 runs mr only, whose every candidate has a CI: one shape per
+    # candidate count, the gateway alone up to the gateway and 4 neighbours
+    assert shapes == {(False,) * k for k in range(1, 6)}
 
 
 def test_trace_line_of_every_engine_decision(monkeypatch):
