@@ -289,17 +289,22 @@ def allocate_mr(
     wait).  Fogs beating the local on-time probability are examined in
     descending order; the first whose confidence interval is disjoint from
     the local one wins, otherwise the partition stays local.
+
+    Each neighbour's p, CI and mean are ``Completion.at`` of its candidate
+    table row, written out with the same float operations.
     """
     if len(deadlines_rel) != len(plan.partitions):
         raise ValueError("one deadline per partition required")
     m = model if model is not None else CompletionModel(etc, ett)
+    waits = queues.waits
+    floor = math.floor
     decisions: list[AllocationDecision] = []
     origin = local
     for idx, part in enumerate(plan.partitions):
         delta = deadlines_rel[idx]
         types = part.topo_order
         p_r, ci_r, mean_r = m.completion(types, local, 0, ci_level).at(
-            queues.wait(local), delta
+            waits.get(local, 0.0), delta
         )
         # fog, hops, mean_ms, p, ci
         local_rec = CandidateRecord(local, 0, mean_r, p_r, ci_r)
@@ -315,16 +320,35 @@ def allocate_mr(
         f = []
         table = m.mr_candidates(types, local, origin, ci_level, topo)
         for g, hops, c in table:
-            p_g, ci_g, mean_g = c.at(queues.wait(g), delta)
+            w = c.width
+            k = round(waits.get(g, 0.0) / w)
+            o = c.origin + k * w
+            cdf = c.cdf
+            # prob_on_time_at(cdf, o, w, delta)
+            count = floor((delta - o) / w + 1e-9) + 1
+            if count <= 0:
+                p_g = 0.0
+            elif count >= len(cdf):
+                p_g = 1.0
+            else:
+                p_g = cdf[count - 1]
             in_f = p_g > p_r
             # fog, hops, mean_ms, p, ci, in_f
-            rec = CandidateRecord(g, hops, mean_g, p_g, ci_g, in_f)
+            rec = CandidateRecord(
+                g,
+                hops,
+                c.mean + k * w,
+                p_g,
+                CiInterval(o + w * c.lo, o + w * c.hi, c.level),
+                in_f,
+            )
             records.append(rec)
             if in_f:
                 f.append(rec)
         chosen = local
         reason = "local_higher_p" if len(records) > 1 else "local_default"
-        f.sort(key=_f_order)
+        if len(f) > 1:
+            f.sort(key=_f_order)
         for rec in f:
             if ci_disjoint(rec.ci, ci_r):
                 chosen = rec.fog
@@ -356,11 +380,12 @@ def allocate_mect(
     """
     m = model if model is not None else CompletionModel(etc)
     types = unit.topo_order
+    waits = queues.waits
     if pinned:
         rec = CandidateRecord(
             fog=local,
             hops=0,
-            mean_ms=queues.wait(local) + m.mean_exec_sum(types, local),
+            mean_ms=waits.get(local, 0.0) + m.mean_exec_sum(types, local),
         )
         return AllocationDecision(
             "mect", partition_index, local, local, "forced_local_pinned", (rec,)
@@ -368,7 +393,7 @@ def allocate_mect(
     records = []
     best_fog, best_ms = local, math.inf
     for g, hops, exec_ms in m.mean_candidates(types, local, topo):
-        ms = queues.wait(g) + exec_ms
+        ms = waits.get(g, 0.0) + exec_ms
         # fog, hops, mean_ms
         records.append(CandidateRecord(g, hops, ms))
         if ms < best_ms:
@@ -402,12 +427,13 @@ def allocate_mcc(
     """
     m = model if model is not None else CompletionModel(etc)
     types = unit.topo_order
+    waits = queues.waits
     if pinned:
         exec_ms = m.mean_exec_sum(types, local)
         rec = CandidateRecord(
             fog=local,
             hops=0,
-            mean_ms=queues.wait(local) + exec_ms,
+            mean_ms=waits.get(local, 0.0) + exec_ms,
             certainty=deadline_rel - exec_ms,
         )
         return AllocationDecision(
@@ -416,7 +442,7 @@ def allocate_mcc(
     records = []
     best_fog, best_c, best_ms = None, -math.inf, math.inf
     for g, hops, exec_ms in m.mean_candidates(types, local, topo):
-        ms = queues.wait(g) + exec_ms
+        ms = waits.get(g, 0.0) + exec_ms
         c = deadline_rel - exec_ms
         # fog, hops, mean_ms, p, ci, in_f, blocked, certainty
         records.append(

@@ -462,7 +462,9 @@ def sample(d: LatencyPmf, rng: np.random.Generator, size: "int | None" = None):
     """Draw bin centres with probability equal to their mass.
 
     Returns a float for ``size=None``, else an ndarray of length ``size``.
-    Both paths consume the same uniform draws and pick the same bins.
+    Both paths consume the same uniform draws and pick the same bins.  The
+    scalar path calls only ``rng.random()``, so any object with that
+    method can stand in for the generator.
     """
     if size is None:
         idx = bisect_left(d.cdf_list, rng.random())

@@ -360,10 +360,37 @@ def service_slacks(
             e = mean_exec[v.id]
         except KeyError:
             raise KeyError(f"no mean execution time for {v.id}") from None
-        if e <= 0:
+        # written so that a NaN fails it
+        if not e > 0:
             raise ValueError(f"mean execution time must be positive: {v.id}")
         out[v.id] = e + policy.epsilon_ms + policy.mean_comm_ms
     return out
+
+
+class StageSlacks(Mapping):
+    """Read-only stage slacks, every value checked non-negative once.
+
+    Requests of one shape share one of these, so a ``Request`` holding it
+    skips its own scan of the values.
+    """
+
+    __slots__ = ("_slacks",)
+
+    def __init__(self, slacks: Mapping[str, float]):
+        slacks = dict(slacks)
+        # written so that a NaN fails it
+        if any(not s >= 0 for s in slacks.values()):
+            raise ValueError("service slack must be non-negative")
+        self._slacks = slacks
+
+    def __getitem__(self, vid: str) -> float:
+        return self._slacks[vid]
+
+    def __iter__(self):
+        return iter(self._slacks)
+
+    def __len__(self) -> int:
+        return len(self._slacks)
 
 
 # --------------------------------------------------------------- requests
@@ -375,9 +402,10 @@ class Request:
 
     ``slacks`` holds each stage's arrival-relative budget (see
     ``service_slacks``); ``workflow_deadline`` is absolute.  Requests of
-    one shape may share one ``slacks`` mapping.  Slotted rather than
-    frozen, since a run builds one per arrival; never changed after it is
-    built.
+    one shape may share one ``slacks`` mapping; a ``StageSlacks`` one was
+    checked when it was built, any other is checked per request.  Slotted
+    rather than frozen, since a run builds one per arrival; never changed
+    after it is built.
     """
 
     id: int
@@ -398,7 +426,9 @@ class Request:
             )
         if not self.workflow_deadline > self.arrival_ms:
             raise ValueError("workflow deadline must exceed the arrival time")
-        if any(not s >= 0 for s in self.slacks.values()):
+        if not isinstance(self.slacks, StageSlacks) and any(
+            not s >= 0 for s in self.slacks.values()
+        ):
             raise ValueError("service slack must be non-negative")
 
 

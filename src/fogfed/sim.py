@@ -6,6 +6,12 @@ micro-service instances on FIFO-queued fog nodes.  Actual execution and
 transfer durations are sampled from the same PMFs the estimators use, and
 no scenario field can inject a mismatch between the two yet, so every
 allocator decides with exact knowledge of the distributions it meets.
+Each execution and transfer time takes the next uniform of the run's one
+``[seed, 1]`` stream, in event order; the stream is read in blocks (see
+``_Uniforms``), which changes no draw.  So two methods whose events come
+in different orders draw different times: giving every method the same
+draws (common random numbers) is a separate change, and it moves every
+digest.
 
 Only the work a run's events cause is paid per event.  Arrivals are an
 exogenous stream known in advance, so they are merged in time order from
@@ -24,7 +30,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
-from types import MappingProxyType
 
 import numpy as np
 
@@ -46,9 +51,13 @@ from .federation import (
     hop_distance,
     mean_exec_profile,
 )
-from .model import (
+# generate_workload stamps each request itself, so nothing here calls
+# assign_deadlines; it is imported because perfbench/traced.py wraps it
+# under this name.
+from .model import (  # noqa: F401
     DeadlinePolicy,
     Request,
+    StageSlacks,
     WorkflowSpec,
     assign_deadlines,
     service_slacks,
@@ -64,6 +73,29 @@ from .partition import (
 ALLOC_METHODS = ("mr", "mect", "mcc", "nofed")
 
 _TRANSFER, _EXEC_DONE = 0, 1
+
+# uniforms drawn per refill of a run's stream
+_BLOCK = 512
+
+
+def _uniform_blocks(rng: np.random.Generator):
+    while True:
+        yield from rng.random(_BLOCK).tolist()
+
+
+class _Uniforms:
+    """A generator's ``random()`` stream, drawn ``_BLOCK`` doubles at a time.
+
+    ``rng.random(n).tolist()`` holds exactly the doubles that ``n`` calls
+    of ``rng.random()`` return, in order, so reading blocks changes no
+    draw; it only replaces one numpy call per draw with one per block.
+    ``random`` is all that ``sample`` needs of a stream.
+    """
+
+    __slots__ = ("random",)
+
+    def __init__(self, rng: np.random.Generator):
+        self.random = _uniform_blocks(rng).__next__
 
 
 @dataclass(frozen=True)
@@ -93,8 +125,8 @@ class Context:
     plan cache.  ``plans`` maps a partition config to
     ``{(id(spec), origin): (spec, plan, wiring)}``; plans depend only on
     load-independent inputs, and holding the spec keeps its id unique.
-    ``slacks`` maps ``id(spec)`` to ``(spec, read-only slacks)`` the same
-    way; see ``shape_slacks``.
+    ``slacks`` maps ``id(spec)`` to ``(spec, StageSlacks)`` the same way;
+    see ``shape_slacks``.
     """
 
     topo: FederationTopology
@@ -125,8 +157,8 @@ class Context:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def shape_slacks(self, spec: WorkflowSpec) -> MappingProxyType:
-        """Read-only ``service_slacks`` of ``spec``, computed once.
+    def shape_slacks(self, spec: WorkflowSpec) -> StageSlacks:
+        """Read-only ``service_slacks`` of ``spec``, computed and checked once.
 
         Computed on first use rather than in the constructor: a context
         may hold a shape its ETC has no entry for, such as a monolithic
@@ -135,7 +167,7 @@ class Context:
         hit = self.slacks.get(id(spec))
         if hit is None:
             slacks = service_slacks(spec, self.policy, self.mean_exec)
-            hit = (spec, MappingProxyType(slacks))
+            hit = (spec, StageSlacks(slacks))
             self.slacks[id(spec)] = hit
         return hit[1]
 
@@ -192,14 +224,17 @@ def generate_workload(
     Conditioned on the request count, Poisson arrival times are uniform
     order statistics, so the window is filled with sorted uniform draws.
     The monolithic flag interleaves deterministically at the given mix.
-    Requests of one shape share the context's slacks mapping.
+    Requests of one shape share the context's slacks mapping, and each
+    deadline is the arrival plus that mapping's total, as in
+    ``assign_deadlines``.
     """
     rng = np.random.default_rng([seed, 0])
     arrivals = np.sort(rng.uniform(0.0, spec.window_ms, spec.total_requests))
     shapes = ctx.shapes
-    # (shape, slacks, kind) per (template, monolithic) slot, filled on first
-    # use: a context may hold a shape its ETC lacks, such as a monolithic
-    # shape no request takes at mix 0
+    origin = ctx.origin_fog
+    # (kind, shape, slacks, slack total) per (template, monolithic) slot,
+    # filled on first use: a context may hold a shape its ETC lacks, such
+    # as a monolithic shape no request takes at mix 0
     stamps = [None] * (2 * len(shapes))
     requests = []
     for i, arrival in enumerate(arrivals.tolist()):
@@ -208,20 +243,17 @@ def generate_workload(
         stamp = stamps[slot]
         if stamp is None:
             shape = shapes[slot // 2][is_mono]
+            slacks = ctx.shape_slacks(shape)
             stamp = stamps[slot] = (
-                shape,
-                ctx.shape_slacks(shape),
                 "monolithic" if is_mono else "workflow",
+                shape,
+                slacks,
+                sum(slacks.values()),
             )
+        kind, shape, slacks, total = stamp
+        # id, arrival_ms, kind, spec, origin_fog, workflow_deadline, slacks
         requests.append(
-            assign_deadlines(
-                stamp[0],
-                arrival,
-                stamp[1],
-                request_id=i,
-                origin_fog=ctx.origin_fog,
-                kind=stamp[2],
-            )
+            Request(i, arrival, kind, shape, origin, arrival + total, slacks)
         )
     return requests
 
@@ -302,7 +334,7 @@ class _Engine:
     def __init__(self, cfg: RunConfig, seed: int, trace_sink=None):
         self.cfg = cfg
         self.ctx = cfg.ctx
-        self.rng = np.random.default_rng([seed, 1])
+        self.uniforms = _Uniforms(np.random.default_rng([seed, 1]))
         self.trace = trace_sink
         self._stamp = _trace_stamp(cfg.scenario, cfg.method, seed)
         self.runtimes = {
@@ -505,7 +537,7 @@ class _Engine:
             self.runtimes[fog].pending_mean_ms += pmf.mean
             if entry_needs_transfer:
                 hops = hop_distance(self.ctx.topo, origin, fog)
-                dur = sample(self.ctx.ett.pmf(vid, hops), self.rng)
+                dur = sample(self.ctx.ett.pmf(vid, hops), self.uniforms)
                 self._push(self._now + dur, _TRANSFER, inst)
             elif n_preds == 0:
                 self._enqueue(inst)
@@ -534,7 +566,7 @@ class _Engine:
             # the lowest free node, so snapshot sums keep their order
             node = rt.busy_until.index(None)
             inst = rt.queue.popleft()
-            dur = sample(inst.pmf, self.rng)
+            dur = sample(inst.pmf, self.uniforms)
             until = self._now + dur
             if rt.busy_until[node] is not None:
                 raise RuntimeError(f"fog {fog} node {node} dispatched twice")
@@ -561,7 +593,9 @@ class _Engine:
                     self._enqueue(nxt)
             else:
                 hops = hop_distance(self.ctx.topo, fog, nxt.fog)
-                dur = sample(self.ctx.ett.pmf(nxt.vertex_id, hops), self.rng)
+                dur = sample(
+                    self.ctx.ett.pmf(nxt.vertex_id, hops), self.uniforms
+                )
                 self._push(self._now + dur, _TRANSFER, nxt)
         self._dispatch(fog)
 

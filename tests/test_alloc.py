@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogfed.alloc import (
@@ -44,21 +44,23 @@ def _etc_points(vals):
     return EtcMatrix(1.0, entries, specs)
 
 
-def _etc_normals(vals):
-    entries = {k: pmf_from_normal(NormalSpec(*v), 1.0) for k, v in vals.items()}
+def _etc_normals(vals, width=1.0):
+    entries = {
+        k: pmf_from_normal(NormalSpec(*v), width) for k, v in vals.items()
+    }
     specs = {k: NormalSpec(*v) for k, v in vals.items()}
-    return EtcMatrix(1.0, entries, specs)
+    return EtcMatrix(width, entries, specs)
 
 
-def _ett_points(types, per_hop):
+def _ett_points(types, per_hop, width=1.0):
     entries = {}
     max_hops = max(per_hop)
     for t in types:
-        entries[(t, 0)] = point_mass(0.0, 1.0)
+        entries[(t, 0)] = point_mass(0.0, width)
         for h, v in per_hop.items():
             if h > 0:
-                entries[(t, h)] = point_mass(v, 1.0)
-    return EttMatrix(1.0, max_hops, entries)
+                entries[(t, h)] = point_mass(v, width)
+    return EttMatrix(width, max_hops, entries)
 
 
 def _no_wait(topo):
@@ -560,8 +562,7 @@ def _decision_key(d):
 ORACLE_TYPES = ("a", "b", "c")
 
 
-@pytest.fixture(scope="module")
-def oracle_federation():
+def _oracle_grid(width):
     """A 3x3 grid whose (type, fog) normals make CIs sometimes overlap."""
     topo = build_grid(3, 3, seed=1)
     rng = np.random.default_rng(11)
@@ -570,10 +571,25 @@ def oracle_federation():
             (t, f): (float(rng.uniform(20.0, 90.0)), float(rng.uniform(0, 15)))
             for t in ORACLE_TYPES
             for f in topo.fog_ids()
-        }
+        },
+        width,
     )
-    ett = _ett_points(ORACLE_TYPES, {1: 6.0, 2: 13.0, 3: 19.0, 4: 27.0})
+    ett = _ett_points(
+        ORACLE_TYPES, {1: 6.0, 2: 13.0, 3: 19.0, 4: 27.0}, width
+    )
     return topo, etc, ett
+
+
+@pytest.fixture(scope="module")
+def oracle_federation():
+    """The oracle grid on 1 ms bins: every origin is a whole number of ms."""
+    return _oracle_grid(1.0)
+
+
+@pytest.fixture(scope="module")
+def half_ms_federation():
+    """The oracle grid on 0.5 ms bins, where a bin count is not a time."""
+    return _oracle_grid(0.5)
 
 
 def _oracle_plan(parts, pinned):
@@ -618,10 +634,36 @@ oracle_waits = st.dictionaries(
     oracle_waits,
     st.sampled_from([0.9, 0.95]),
 )
+# Edges of the inline arithmetic of ``allocate_mr``; the times are those of
+# the 1 ms grid, whose fog 4 has neighbours 1, 3, 5 and 7, one hop away.
+# Waits on half a bin, which ``round`` ties to even: on 1 ms bins 0.5 and
+# 2.5 round down, 1.5 and 3.5 up; on 0.5 ms bins 0.25 and 1.25 down, 0.75
+# and 1.75 up.
+@example(([["a"], ["b", "c"]], [False, False], [60.0, 120.0]), 4,
+         {4: 2.5, 1: 0.5, 3: 1.5, 5: 3.5, 7: 4.5}, 0.95)
+@example(([["a"], ["b", "c"]], [False, False], [60.0, 120.0]), 4,
+         {4: 0.25, 1: 0.75, 3: 1.25, 5: 1.75}, 0.95)
+# A deadline on the first shifted bin centre of fog 3 (origin 32 + wait
+# 2), before the first bin of the local fog (origin 49 + wait 7); then
+# half a bin before that centre.
+@example(([["a", "b"]], [False], [34.0]), 4, {4: 7.0, 3: 2.0}, 0.95)
+@example(([["a", "b"]], [False], [33.5]), 4, {4: 7.0, 3: 2.0}, 0.95)
+# Past the last bin of fog 1 (origin 66, five bins) but not of the local.
+@example(([["a"]], [False], [71.0]), 4, {}, 0.95)
+# On the last bin centre of fogs 5 and 7 (83 ms on both grids), where p
+# is 1 although their CDFs end a few ulps off 1.
+@example(([["a"]], [False], [83.0]), 4, {}, 0.95)
+# Before every first bin, then past every last one.
+@example(([["c"], ["a"]], [False, False], [0.0, 400.0]), 4, {1: 0.5}, 0.9)
 def test_candidate_tables_decide_as_reference(
-    oracle_federation, case, local, waits, level
+    oracle_federation, half_ms_federation, case, local, waits, level
 ):
-    topo, etc, ett = oracle_federation
+    for federation in (oracle_federation, half_ms_federation):
+        _check_candidate_tables(federation, case, local, waits, level)
+
+
+def _check_candidate_tables(federation, case, local, waits, level):
+    topo, etc, ett = federation
     parts, pinned, deadlines = case
     plan = _oracle_plan(parts, pinned)
     queues = QueueEstimate(waits)

@@ -476,9 +476,11 @@ def test_simulate_trace_equals_run_sweep_records(tmp_path, parallel):
 
 
 # (load, CSV sha256, --trace sha256) of one repetition at seed 1234: fig11
-# runs mr at degrees 1-4, fig6 all four allocators on workflows, and fig7
-# all four on monolithic requests at a load where mr sends some remote.
-# Common random numbers (ROADMAP item 3) will move every one of them.
+# runs mr at degrees 1-4, fig6 all four allocators on workflows, fig7 all
+# four on monolithic requests at a load where mr sends some remote, and
+# fig8 all four on mixed requests with 1 400-1 700 draws per run, so the
+# engine's uniform stream is refilled more than once.  Common random
+# numbers (ROADMAP item 3) will move every one of them.
 _PINNED_SHA256 = {
     "fig11_scaling_workflows": (
         8,
@@ -494,6 +496,11 @@ _PINNED_SHA256 = {
         40,
         "6bbf51cdf3ae4f000d570c87cda4432badd3999f051dc32491060a7cce5a035e",
         "09cb9c2527494620d7aa8afc6f19d0861dbb41b8cc5f41ce8cbf05aa8aa06fc7",
+    ),
+    "fig8_mixed": (
+        400,
+        "0d81084c41e791052899c9b40b41aef7c506bf80bf287115fcfff7e4db213324",
+        "892cc15f3514ddee4932868b3f29c4f637b035442cdd9b1c06057c014d9c7bd6",
     ),
 }
 

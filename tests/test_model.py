@@ -10,6 +10,7 @@ from fogfed.model import (
     Edge,
     MicroServiceSpec,
     Request,
+    StageSlacks,
     WorkflowSpec,
     assign_deadlines,
     builtin_app,
@@ -255,6 +256,36 @@ class TestDeadlines:
         w = builtin_app("aie")
         with pytest.raises(KeyError):
             service_slacks(w, DeadlinePolicy(), {"aie.preprocess": 1.0})
+
+    @pytest.mark.parametrize(
+        "exec_ms", [math.nan, 0.0, -2.0], ids=["nan", "zero", "negative"]
+    )
+    def test_non_positive_or_nan_exec_time_raises(self, exec_ms):
+        w = builtin_app("aie")
+        with pytest.raises(ValueError, match="mean execution time"):
+            service_slacks(
+                w, DeadlinePolicy(), {v.id: exec_ms for v in w.vertices}
+            )
+
+    @pytest.mark.parametrize(
+        "slack", [math.nan, -1.0], ids=["nan", "negative"]
+    )
+    def test_stage_slacks_rejects_nan_or_negative(self, slack):
+        with pytest.raises(ValueError, match="slack"):
+            StageSlacks({"a": 1.0, "b": slack})
+
+    def test_stage_slacks_is_a_read_only_copy(self):
+        given = {"a": 1.0, "b": 2.5}
+        slacks = StageSlacks(given)
+        given["a"] = -1.0
+        assert list(slacks.items()) == [("a", 1.0), ("b", 2.5)]
+        assert slacks == {"a": 1.0, "b": 2.5}
+        with pytest.raises(TypeError):
+            slacks["a"] = 0.0
+        w = _w(("a", "b"), [("a", "b")])
+        req = assign_deadlines(w, 2.0, slacks)
+        assert req.slacks is slacks
+        assert req.workflow_deadline == 5.5
 
     def test_builtin_deadline_exceeds_arrival(self):
         for name in APP_NAMES:

@@ -293,6 +293,18 @@ def test_workload_shares_one_read_only_slacks_per_shape(app_context):
         reqs[0].slacks["fire.capture"] = 0.0
 
 
+def test_nan_slack_fails_where_the_shape_slacks_are_built():
+    # a NaN epsilon passes DeadlinePolicy; the shape's slacks are checked
+    # once when built, before any request of the shape is stamped
+    cfg = make_cfg(
+        [unit_app()], total=3, policy=DeadlinePolicy(epsilon_ms=math.nan)
+    )
+    with pytest.raises(ValueError, match="slack"):
+        cfg.ctx.shape_slacks(cfg.ctx.shapes[0][0])
+    with pytest.raises(ValueError, match="slack"):
+        generate_workload(cfg.workload, 1, cfg.ctx)
+
+
 # -------------------------------------------------------- partition budgets
 
 
@@ -1184,6 +1196,52 @@ def test_arrival_tied_with_a_queued_event_runs_first(tie_cfg, monkeypatch):
         runs.append(_hex_run(engine, report, lines))
     assert runs[0] == runs[1]
     assert any(ties)
+
+
+# ----------------------------------------------------------- uniform stream
+
+
+@pytest.mark.parametrize("seed", [0, 1234])
+def test_block_uniforms_equal_scalar_draws(seed):
+    import fogfed.sim as sim
+
+    n = 2 * sim._BLOCK + 37  # across two refills
+    stream = sim._Uniforms(np.random.default_rng([seed, 1]))
+    rng = np.random.default_rng([seed, 1])
+    got = [stream.random() for _ in range(n)]
+    assert [v.hex() for v in got] == [rng.random().hex() for _ in range(n)]
+
+
+@pytest.mark.parametrize("alloc", ALLOC_METHODS)
+def test_block_draws_give_the_run_of_scalar_draws(monkeypatch, alloc):
+    """A run drawing more than two blocks equals the run that calls the
+    generator's ``random()`` once per draw."""
+    import fogfed.sim as sim
+
+    cfg = make_cfg(
+        four_apps(), width=2, height=2, node_count=4, total=300,
+        window=20_000.0, alloc=alloc, partition_method="propart",
+    )
+    streams = []
+    sample = sim.sample
+
+    def counting(pmf, stream):
+        streams.append(type(stream))
+        return sample(pmf, stream)
+
+    monkeypatch.setattr(sim, "sample", counting)
+    runs = []
+    for stream_type in (sim._Uniforms, np.random.Generator):
+        if stream_type is np.random.Generator:
+            monkeypatch.setattr(sim, "_Uniforms", lambda rng: rng)
+        streams.clear()
+        lines = []
+        engine = sim._Engine(cfg, 3, lines.append)
+        report = engine.run(generate_workload(cfg.workload, 3, cfg.ctx), 3)
+        runs.append(_hex_run(engine, report, lines))
+        assert len(streams) > 2 * sim._BLOCK
+        assert set(streams) == {stream_type}
+    assert runs[0] == runs[1]
 
 
 def test_degree_reported_for_origin():
