@@ -62,8 +62,10 @@ class QueueEstimate:
 
     def __post_init__(self) -> None:
         for fog, w in self.waits.items():
-            if not w >= 0:
-                raise ValueError(f"queue wait for fog {fog} is {w}, not >= 0")
+            if not 0 <= w < math.inf:
+                raise ValueError(
+                    f"queue wait for fog {fog} is {w}, not finite and >= 0"
+                )
 
     def wait(self, fog_id: int) -> float:
         return self.waits.get(fog_id, 0.0)
@@ -279,7 +281,8 @@ def allocate_mr(
     queues: QueueEstimate,
     deadlines_rel: tuple[float, ...],
     ci_level: float = 0.95,
-    model: "CompletionModel | None" = None,
+    *,
+    model: CompletionModel,
 ) -> list[AllocationDecision]:
     """Walk the partitions in precedence order, assigning each a fog.
 
@@ -292,10 +295,10 @@ def allocate_mr(
 
     Each neighbour's p, CI and mean are ``Completion.at`` of its candidate
     table row, written out with the same float operations.
+    ``etc`` and ``ett`` go unused; perfbench's allocator replay passes them.
     """
     if len(deadlines_rel) != len(plan.partitions):
         raise ValueError("one deadline per partition required")
-    m = model if model is not None else CompletionModel(etc, ett)
     waits = queues.waits
     floor = math.floor
     decisions: list[AllocationDecision] = []
@@ -303,7 +306,7 @@ def allocate_mr(
     for idx, part in enumerate(plan.partitions):
         delta = deadlines_rel[idx]
         types = part.topo_order
-        p_r, ci_r, mean_r = m.completion(types, local, 0, ci_level).at(
+        p_r, ci_r, mean_r = model.completion(types, local, 0, ci_level).at(
             waits.get(local, 0.0), delta
         )
         # fog, hops, mean_ms, p, ci
@@ -318,7 +321,7 @@ def allocate_mr(
             continue
         records = [local_rec]
         f = []
-        table = m.mr_candidates(types, local, origin, ci_level, topo)
+        table = model.mr_candidates(types, local, origin, ci_level, topo)
         for g, hops, c in table:
             w = c.width
             k = round(waits.get(g, 0.0) / w)
@@ -371,28 +374,28 @@ def allocate_mect(
     *,
     pinned: bool = False,
     partition_index: int = 0,
-    model: "CompletionModel | None" = None,
+    model: CompletionModel,
 ) -> AllocationDecision:
     """Minimum expected completion: queue wait plus chain exec means.
 
     Communication costs are invisible to this method; ties prefer local,
     then the lower fog id.
+    ``etc`` goes unused; perfbench's allocator replay passes it.
     """
-    m = model if model is not None else CompletionModel(etc)
     types = unit.topo_order
     waits = queues.waits
     if pinned:
         rec = CandidateRecord(
             fog=local,
             hops=0,
-            mean_ms=waits.get(local, 0.0) + m.mean_exec_sum(types, local),
+            mean_ms=waits.get(local, 0.0) + model.mean_exec_sum(types, local),
         )
         return AllocationDecision(
             "mect", partition_index, local, local, "forced_local_pinned", (rec,)
         )
     records = []
     best_fog, best_ms = local, math.inf
-    for g, hops, exec_ms in m.mean_candidates(types, local, topo):
+    for g, hops, exec_ms in model.mean_candidates(types, local, topo):
         ms = waits.get(g, 0.0) + exec_ms
         # fog, hops, mean_ms
         records.append(CandidateRecord(g, hops, ms))
@@ -414,7 +417,7 @@ def allocate_mcc(
     *,
     pinned: bool = False,
     partition_index: int = 0,
-    model: "CompletionModel | None" = None,
+    model: CompletionModel,
 ) -> AllocationDecision:
     """Maximum completion certainty: deadline headroom over the ETC mean.
 
@@ -424,12 +427,12 @@ def allocate_mcc(
     check against its backlog; if even it cannot promise completion the
     unit stays local rather than trying the runner-up.  Ties prefer local,
     then the lower fog id.
+    ``etc`` goes unused; perfbench's allocator replay passes it.
     """
-    m = model if model is not None else CompletionModel(etc)
     types = unit.topo_order
     waits = queues.waits
     if pinned:
-        exec_ms = m.mean_exec_sum(types, local)
+        exec_ms = model.mean_exec_sum(types, local)
         rec = CandidateRecord(
             fog=local,
             hops=0,
@@ -441,7 +444,7 @@ def allocate_mcc(
         )
     records = []
     best_fog, best_c, best_ms = None, -math.inf, math.inf
-    for g, hops, exec_ms in m.mean_candidates(types, local, topo):
+    for g, hops, exec_ms in model.mean_candidates(types, local, topo):
         ms = waits.get(g, 0.0) + exec_ms
         c = deadline_rel - exec_ms
         # fog, hops, mean_ms, p, ci, in_f, blocked, certainty
@@ -469,17 +472,12 @@ def allocate_no_federation(
     unit: WorkflowSpec,
     local: int,
     *,
-    etc: "EtcMatrix | None" = None,
-    queues: "QueueEstimate | None" = None,
+    queues: QueueEstimate,
     partition_index: int = 0,
-    model: "CompletionModel | None" = None,
+    model: CompletionModel,
 ) -> AllocationDecision:
     """Everything runs where it arrived."""
-    ms = math.nan
-    if etc is not None or model is not None:
-        m = model if model is not None else CompletionModel(etc)
-        wait = queues.wait(local) if queues is not None else 0.0
-        ms = wait + m.mean_exec_sum(unit.topo_order, local)
+    ms = queues.wait(local) + model.mean_exec_sum(unit.topo_order, local)
     # fog, hops, mean_ms
     rec = CandidateRecord(local, 0, ms)
     return AllocationDecision(

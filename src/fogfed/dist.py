@@ -130,11 +130,6 @@ class LatencyPmf:
     def mean(self) -> float:
         return float(np.dot(self.centers, self.mass))
 
-    @property
-    def support_hi(self) -> float:
-        """Centre of the last bin."""
-        return self.origin + self.bin_width * (self.mass.size - 1)
-
     def __repr__(self) -> str:  # keep reprs short, arrays can be huge
         return (
             f"LatencyPmf(bin_width={self.bin_width}, origin={self.origin}, "
@@ -414,15 +409,9 @@ def prob_on_time(d: LatencyPmf, deadline: float) -> float:
 
 
 def _quantile_bin(d: LatencyPmf, p: float) -> int:
+    """Index of the first bin whose CDF reaches ``p``."""
     idx = int(np.searchsorted(d.cdf, p, side="left"))
     return min(idx, d.mass.size - 1)
-
-
-def quantile(d: LatencyPmf, p: float) -> float:
-    """Smallest bin centre whose CDF reaches ``p`` (right-continuous inverse)."""
-    if not 0 <= p <= 1:
-        raise ValueError(f"quantile level must lie in [0, 1], got {p}")
-    return float(d.centers[_quantile_bin(d, p)])
 
 
 def ci_bins(d: LatencyPmf, level: float = 0.95) -> tuple[int, int]:
@@ -458,21 +447,14 @@ def shift(d: LatencyPmf, offset: float) -> LatencyPmf:
     return LatencyPmf(d.bin_width, d.origin + k * d.bin_width, d.mass)
 
 
-def sample(d: LatencyPmf, rng: np.random.Generator, size: "int | None" = None):
-    """Draw bin centres with probability equal to their mass.
+def sample(d: LatencyPmf, rng: np.random.Generator) -> float:
+    """Draw one bin centre with probability equal to its mass.
 
-    Returns a float for ``size=None``, else an ndarray of length ``size``.
-    Both paths consume the same uniform draws and pick the same bins.  The
-    scalar path calls only ``rng.random()``, so any object with that
-    method can stand in for the generator.
+    Calls only ``rng.random()``, so any object with that method can stand
+    in for the generator.
     """
-    if size is None:
-        idx = bisect_left(d.cdf_list, rng.random())
-        return d.origin + d.bin_width * min(idx, d.mass.size - 1)
-    u = rng.random(size)
-    idx = np.searchsorted(d.cdf, u, side="left")
-    idx = np.minimum(idx, d.mass.size - 1)
-    return d.centers[idx]
+    idx = bisect_left(d.cdf_list, rng.random())
+    return d.origin + d.bin_width * min(idx, d.mass.size - 1)
 
 
 def mean(d: LatencyPmf) -> float:

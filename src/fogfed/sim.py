@@ -24,6 +24,7 @@ its execution PMF, so no event looks an instance or a PMF up again.
 from __future__ import annotations
 
 import heapq
+import json
 import math
 from collections import deque
 from collections.abc import Sequence
@@ -69,8 +70,6 @@ from .partition import (
     build_plan,
     validate_plan,
 )
-
-ALLOC_METHODS = ("mr", "mect", "mcc", "nofed")
 
 _TRANSFER, _EXEC_DONE = 0, 1
 
@@ -662,16 +661,7 @@ class _Engine:
         )
 
 
-# json.dumps spells these floats differently from float.__repr__
-_JSON_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _json_number(x) -> str:
-    """``json.dumps(x)`` of an int or float."""
-    if not isinstance(x, float):
-        return int.__repr__(x)
-    text = float.__repr__(x)
-    return _JSON_NONFINITE.get(text, text)
+ALLOC_METHODS = tuple(_Engine._DECIDERS)
 
 
 def _trace_stamp(scenario: str, method: str, seed: int) -> str:
@@ -683,46 +673,38 @@ def _trace_stamp(scenario: str, method: str, seed: int) -> str:
     )
 
 
-def _candidate_json(r) -> str:
-    return (
-        '{"blocked": %s, "ci": %s, "fog": %d, "hops": %d, "in_f": %s, '
-        '"mean_ms": %s, "p": %s}'
-        % (
-            "true" if r.blocked else "false",
-            "null"
-            if r.ci is None
-            else "[%s, %s]" % (_json_number(r.ci.lo), _json_number(r.ci.hi)),
-            r.fog,
-            r.hops,
-            "true" if r.in_f else "false",
-            _json_number(round(r.mean_ms, 3)),
-            "null" if math.isnan(r.p) else _json_number(round(r.p, 6)),
-        )
-    )
-
-
 def _exact_decision_line(
     now: float, request: Request, d: AllocationDecision, stamp: str
 ) -> str:
-    """``_decision_line`` for any record, non-finite numbers included."""
-    return (
-        '{"app": %s, "candidates": [%s], "chosen": %d, "kind": %s, '
-        '"local_fog": %d, "method": %s, "partition": %d, "reason": %s, '
-        '"request": %d%s%s}\n'
-        % (
-            _json_str(request.spec.app),
-            ", ".join([_candidate_json(r) for r in d.candidates]),
-            d.chosen,
-            _json_str(request.kind),
-            d.local_fog,
-            _json_str(d.method),
-            d.partition_index,
-            _json_str(d.reason),
-            request.id,
-            stamp,
-            _json_number(round(now, 3)),
-        )
-    )
+    """``_decision_line`` for any record, non-finite numbers included.
+
+    ``json.dumps`` encodes the record without the stamp's keys, which sort
+    between ``request`` and ``time_ms``; the stamp goes before its last brace.
+    """
+    head = {
+        "app": request.spec.app,
+        "candidates": [
+            {
+                "blocked": r.blocked,
+                "ci": None if r.ci is None else [r.ci.lo, r.ci.hi],
+                "fog": r.fog,
+                "hops": r.hops,
+                "in_f": r.in_f,
+                "mean_ms": round(r.mean_ms, 3),
+                "p": None if math.isnan(r.p) else round(r.p, 6),
+            }
+            for r in d.candidates
+        ],
+        "chosen": d.chosen,
+        "kind": request.kind,
+        "local_fog": d.local_fog,
+        "method": d.method,
+        "partition": d.partition_index,
+        "reason": d.reason,
+        "request": request.id,
+    }
+    line = json.dumps(head, sort_keys=True)[:-1] + stamp
+    return line + json.dumps(round(now, 3)) + "}\n"
 
 
 _BOOL = ("false", "true")

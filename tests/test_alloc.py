@@ -75,7 +75,8 @@ class TestMr:
         ett = _ett_points(["u"], {0: 0.0})
         plan = no_partition(w)
         (d,) = allocate_mr(
-            plan, 0, topo, etc, ett, _no_wait(topo), (80.0,)
+            plan, 0, topo, etc, ett, _no_wait(topo), (80.0,),
+            model=CompletionModel(etc, ett),
         )
         assert d.chosen == 0
         assert d.reason == "local_default"
@@ -89,7 +90,8 @@ class TestMr:
         ett = _ett_points(["u"], {1: 20.0})
         plan = no_partition(w)
         (d,) = allocate_mr(
-            plan, 0, topo, etc, ett, _no_wait(topo), (80.0,)
+            plan, 0, topo, etc, ett, _no_wait(topo), (80.0,),
+            model=CompletionModel(etc, ett),
         )
         assert d.chosen == 1
         assert d.reason == "remote_ci_disjoint"
@@ -111,7 +113,10 @@ class TestMr:
         queues = _no_wait(topo)
         delta = 80.0
         plan = no_partition(_unit())
-        (d,) = allocate_mr(plan, local, topo, etc, ett, queues, (delta,))
+        (d,) = allocate_mr(
+            plan, local, topo, etc, ett, queues, (delta,),
+            model=CompletionModel(etc, ett),
+        )
 
         e_r = shift(etc.pmf("u", local), 0.0)
         p_r = prob_on_time(e_r, delta)
@@ -138,7 +143,10 @@ class TestMr:
         etc = _etc_points({("u", 0): 10.0, ("u", 1): 90.0})
         ett = _ett_points(["u"], {1: 5.0})
         plan = no_partition(_unit())
-        (d,) = allocate_mr(plan, 0, topo, etc, ett, _no_wait(topo), (50.0,))
+        (d,) = allocate_mr(
+            plan, 0, topo, etc, ett, _no_wait(topo), (50.0,),
+            model=CompletionModel(etc, ett),
+        )
         assert d.chosen == 0
         assert d.reason == "local_higher_p"
         assert not any(r.in_f for r in d.candidates if r.fog != 0)
@@ -149,7 +157,10 @@ class TestMr:
         etc = _etc_points({("u", 0): 100.0, ("u", 1): 1.0})
         ett = _ett_points(["u"], {1: 0.5})
         plan = no_partition(_unit(pinned=True))
-        (d,) = allocate_mr(plan, 0, topo, etc, ett, _no_wait(topo), (80.0,))
+        (d,) = allocate_mr(
+            plan, 0, topo, etc, ett, _no_wait(topo), (80.0,),
+            model=CompletionModel(etc, ett),
+        )
         assert d.chosen == 0
         assert d.reason == "forced_local_pinned"
         assert validate_mr_decision(d) == []
@@ -161,7 +172,10 @@ class TestMr:
         plan = no_partition(_unit())
         # a 200ms backlog on the fast fog kills its probability
         queues = QueueEstimate({0: 0.0, 1: 200.0})
-        (d,) = allocate_mr(plan, 0, topo, etc, ett, queues, (80.0,))
+        (d,) = allocate_mr(
+            plan, 0, topo, etc, ett, queues, (80.0,),
+            model=CompletionModel(etc, ett),
+        )
         assert d.chosen == 0
         remote = [r for r in d.candidates if r.fog == 1][0]
         assert remote.p == 0.0
@@ -184,7 +198,8 @@ class TestMr:
         )
         ett = _ett_points(["a", "b"], {1: 5.0})
         ds = allocate_mr(
-            plan, 0, topo, etc, ett, _no_wait(topo), (60.0, 60.0)
+            plan, 0, topo, etc, ett, _no_wait(topo), (60.0, 60.0),
+            model=CompletionModel(etc, ett),
         )
         assert [d.chosen for d in ds] == [1, 1]
         second_remote = [r for r in ds[1].candidates if r.fog == 1][0]
@@ -200,6 +215,7 @@ class TestMr:
             allocate_mr(
                 no_partition(_unit()), 0, topo, etc, ett,
                 _no_wait(topo), (50.0, 50.0),
+                model=CompletionModel(etc, ett),
             )
 
     def test_validator_catches_bad_remote(self):
@@ -223,14 +239,19 @@ class TestMect:
         topo = build_grid(3, 1, seed=0)
         local = 1
         etc = _etc_points({("u", 0): 7.0, ("u", 1): 10.0, ("u", 2): 9.0})
-        d = allocate_mect(_unit(), local, topo, etc, _no_wait(topo))
+        d = allocate_mect(
+            _unit(), local, topo, etc, _no_wait(topo),
+            model=CompletionModel(etc),
+        )
         assert d.chosen == 0
         assert d.reason == "min_expected_completion"
 
     def test_tie_prefers_local(self):
         topo = build_grid(3, 1, seed=0)
         etc = _etc_points({("u", 0): 8.0, ("u", 1): 8.0, ("u", 2): 8.0})
-        d = allocate_mect(_unit(), 1, topo, etc, _no_wait(topo))
+        d = allocate_mect(
+            _unit(), 1, topo, etc, _no_wait(topo), model=CompletionModel(etc)
+        )
         assert d.chosen == 1
         assert d.reason == "local_default"
 
@@ -238,7 +259,9 @@ class TestMect:
         topo = build_grid(2, 1, seed=0)
         etc = _etc_points({("u", 0): 12.0, ("u", 1): 5.0})
         queues = QueueEstimate({0: 0.0, 1: 10.0})
-        d = allocate_mect(_unit(), 0, topo, etc, queues)
+        d = allocate_mect(
+            _unit(), 0, topo, etc, queues, model=CompletionModel(etc)
+        )
         assert d.chosen == 0  # 12 beats 10+5
         recs = {r.fog: r for r in d.candidates}
         assert recs[1].mean_ms == pytest.approx(15.0)
@@ -247,7 +270,8 @@ class TestMect:
         topo = build_grid(2, 1, seed=0)
         etc = _etc_points({("u", 0): 100.0, ("u", 1): 1.0})
         d = allocate_mect(
-            _unit(pinned=True), 0, topo, etc, _no_wait(topo), pinned=True
+            _unit(pinned=True), 0, topo, etc, _no_wait(topo), pinned=True,
+            model=CompletionModel(etc),
         )
         assert d.chosen == 0
         assert d.reason == "forced_local_pinned"
@@ -257,7 +281,10 @@ class TestMcc:
     def test_argmax_certainty(self):
         topo = build_grid(2, 1, seed=0)
         etc = _etc_points({("u", 0): 60.0, ("u", 1): 40.0})
-        d = allocate_mcc(_unit(), 0, topo, etc, _no_wait(topo), 100.0)
+        d = allocate_mcc(
+            _unit(), 0, topo, etc, _no_wait(topo), 100.0,
+            model=CompletionModel(etc),
+        )
         assert d.chosen == 1
         assert d.reason == "max_certainty"
         recs = {r.fog: r for r in d.candidates}
@@ -266,14 +293,20 @@ class TestMcc:
     def test_no_positive_certainty_falls_local(self):
         topo = build_grid(2, 1, seed=0)
         etc = _etc_points({("u", 0): 60.0, ("u", 1): 70.0})
-        d = allocate_mcc(_unit(), 0, topo, etc, _no_wait(topo), 50.0)
+        d = allocate_mcc(
+            _unit(), 0, topo, etc, _no_wait(topo), 50.0,
+            model=CompletionModel(etc),
+        )
         assert d.chosen == 0
         assert d.reason == "local_no_positive_certainty"
 
     def test_three_fogs(self):
         topo = build_grid(3, 1, seed=0)
         etc = _etc_points({("u", 0): 45.0, ("u", 1): 60.0, ("u", 2): 48.0})
-        d = allocate_mcc(_unit(), 1, topo, etc, _no_wait(topo), 50.0)
+        d = allocate_mcc(
+            _unit(), 1, topo, etc, _no_wait(topo), 50.0,
+            model=CompletionModel(etc),
+        )
         assert d.chosen == 0  # certainty 5 beats 2; local is negative
 
     def test_agrees_with_mect_when_unconstrained(self):
@@ -286,9 +319,13 @@ class TestMcc:
             }
             etc = _etc_points(vals)
             local = int(rng.integers(0, 9))
-            a = allocate_mect(_unit(), local, topo, etc, _no_wait(topo))
+            model = CompletionModel(etc)
+            a = allocate_mect(
+                _unit(), local, topo, etc, _no_wait(topo), model=model
+            )
             b = allocate_mcc(
-                _unit(), local, topo, etc, _no_wait(topo), 1000.0
+                _unit(), local, topo, etc, _no_wait(topo), 1000.0,
+                model=model,
             )
             assert a.chosen == b.chosen
 
@@ -296,7 +333,10 @@ class TestMcc:
         topo = build_grid(2, 1, seed=0)
         etc = _etc_points({("u", 0): 30.0, ("u", 1): 20.0})
         queues = QueueEstimate({0: 0.0, 1: 25.0})
-        d = allocate_mcc(_unit(), 0, topo, etc, queues, 100.0)
+        d = allocate_mcc(
+            _unit(), 0, topo, etc, queues, 100.0,
+            model=CompletionModel(etc),
+        )
         assert d.chosen == 1  # 45 expected vs 30 local, rating still wins
         recs = {r.fog: r for r in d.candidates}
         assert recs[1].certainty == pytest.approx(80.0)
@@ -306,7 +346,10 @@ class TestMcc:
         topo = build_grid(3, 1, seed=0)
         etc = _etc_points({("u", 0): 20.0, ("u", 1): 30.0, ("u", 2): 25.0})
         queues = QueueEstimate({0: 90.0, 1: 0.0, 2: 0.0})
-        d = allocate_mcc(_unit(), 1, topo, etc, queues, 100.0)
+        d = allocate_mcc(
+            _unit(), 1, topo, etc, queues, 100.0,
+            model=CompletionModel(etc),
+        )
         # fog 0 has the best rating but its backlog spends the budget; the
         # method knows only one answer and dumps the unit back home instead
         # of trying fog 2
@@ -317,14 +360,20 @@ class TestMcc:
         topo = build_grid(2, 1, seed=0)
         etc = _etc_points({("u", 0): 20.0, ("u", 1): 10.0})
         queues = QueueEstimate({0: 200.0, 1: 200.0})
-        d = allocate_mcc(_unit(), 0, topo, etc, queues, 100.0)
+        d = allocate_mcc(
+            _unit(), 0, topo, etc, queues, 100.0,
+            model=CompletionModel(etc),
+        )
         assert d.chosen == 0
         assert d.reason == "local_no_positive_certainty"
 
 
 class TestNoFederation:
     def test_always_local(self):
-        d = allocate_no_federation(_unit(), 3)
+        etc = _etc_points({("u", 3): 10.0})
+        d = allocate_no_federation(
+            _unit(), 3, queues=QueueEstimate({}), model=CompletionModel(etc)
+        )
         assert d.chosen == 3
         assert d.reason == "local_default"
         assert len(d.candidates) == 1
@@ -333,7 +382,8 @@ class TestNoFederation:
     def test_mean_logged_when_profiles_given(self):
         etc = _etc_points({("u", 0): 42.0})
         d = allocate_no_federation(
-            _unit(), 0, etc=etc, queues=QueueEstimate({0: 8.0})
+            _unit(), 0, queues=QueueEstimate({0: 8.0}),
+            model=CompletionModel(etc),
         )
         assert d.candidates[0].mean_ms == pytest.approx(50.0)
 
@@ -346,6 +396,10 @@ class TestQueueEstimate:
     def test_nan_rejected(self):
         with pytest.raises(ValueError, match="nan"):
             QueueEstimate({0: 1.0, 3: math.nan})
+
+    def test_inf_rejected(self):
+        with pytest.raises(ValueError, match="inf"):
+            QueueEstimate({0: 1.0, 3: math.inf})
 
     def test_missing_fog_is_zero(self):
         q = QueueEstimate({0: 5.0})

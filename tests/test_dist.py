@@ -24,6 +24,14 @@ def _pmf(mapping: dict[float, float], bin_width: float = 1.0) -> LatencyPmf:
     return LatencyPmf(bin_width, origin, mass)
 
 
+def quantile(d: LatencyPmf, p: float) -> float:
+    """Oracle: smallest bin centre whose CDF reaches ``p``, by a linear scan."""
+    if not 0 <= p <= 1:
+        raise ValueError(f"quantile level must lie in [0, 1], got {p}")
+    k = next((i for i, c in enumerate(d.cdf_list) if c >= p), d.mass.size - 1)
+    return d.origin + d.bin_width * k
+
+
 # ---------------------------------------------------------------- construction
 
 
@@ -139,20 +147,20 @@ def test_prob_on_time_point_mass_boundaries():
 
 def test_quantile_point_mass():
     d = dist.point_mass(100.0, 1.0)
-    assert dist.quantile(d, 0.025) == 100.0
-    assert dist.quantile(d, 0.975) == 100.0
+    assert quantile(d, 0.025) == 100.0
+    assert quantile(d, 0.975) == 100.0
     ci = dist.central_ci(d)
     assert (ci.lo, ci.hi) == (100.0, 100.0)
 
 
 def test_quantile_steps_through_bins():
     d = _pmf({0.0: 0.25, 1.0: 0.25, 2.0: 0.5})
-    assert dist.quantile(d, 0.25) == 0.0
-    assert dist.quantile(d, 0.2500001) == 1.0
-    assert dist.quantile(d, 0.5) == 1.0
-    assert dist.quantile(d, 1.0) == 2.0
+    assert quantile(d, 0.25) == 0.0
+    assert quantile(d, 0.2500001) == 1.0
+    assert quantile(d, 0.5) == 1.0
+    assert quantile(d, 1.0) == 2.0
     with pytest.raises(ValueError):
-        dist.quantile(d, 1.5)
+        quantile(d, 1.5)
 
 
 # -------------------------------------------------------------------- CI logic
@@ -206,10 +214,10 @@ def test_shift_moves_mean_exactly():
 def test_sample_frequencies_match_mass():
     d = _pmf({2.0: 0.5, 4.0: 0.5}, bin_width=2.0)
     rng = np.random.default_rng(7)
-    draws = dist.sample(d, rng, size=1_000_000)
-    freq2 = float(np.mean(draws == 2.0))
+    draws = [dist.sample(d, rng) for _ in range(1_000_000)]
+    freq2 = draws.count(2.0) / len(draws)
     assert 0.497 <= freq2 <= 0.503
-    assert set(np.unique(draws)) == {2.0, 4.0}
+    assert set(draws) == {2.0, 4.0}
 
 
 def test_sample_scalar_and_deterministic():
@@ -218,29 +226,6 @@ def test_sample_scalar_and_deterministic():
     b = dist.sample(d, np.random.default_rng(123))
     assert isinstance(a, float)
     assert a == b
-
-
-# arbitrary grids: odd widths and origins, zero-mass bins, single bins
-grid_pmfs = st.builds(
-    lambda width, k0, weights: LatencyPmf(
-        width, k0 * width, np.array(weights) / sum(weights)
-    ),
-    width=st.sampled_from([0.1, 0.25, 1.0, 2.0, 3.7]),
-    k0=st.integers(min_value=0, max_value=5000),
-    weights=st.lists(
-        st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=60
-    ).filter(lambda ws: sum(ws) > 0.1),
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(grid_pmfs, st.integers(min_value=0, max_value=2**32), st.integers(1, 40))
-def test_scalar_samples_equal_array_samples(d, seed, n):
-    rng, rng2 = np.random.default_rng(seed), np.random.default_rng(seed)
-    scalars = [dist.sample(d, rng) for _ in range(n)]
-    batch = dist.sample(d, rng2, size=n)
-    assert all(isinstance(x, float) for x in scalars)
-    assert scalars == batch.tolist()
 
 
 def test_pmf_from_normal_matches_scipy_stats_norm_cdf():
@@ -383,10 +368,13 @@ def test_cdf_monotone_and_quantiles_on_grid(spec):
     d = dist.pmf_from_normal(spec, 1.0)
     assert np.all(np.diff(d.cdf) >= -1e-15)
     for p in (0.025, 0.5, 0.975):
-        q = dist.quantile(d, p)
+        q = quantile(d, p)
         k = round((q - d.origin) / d.bin_width)
         assert 0 <= k < d.mass.size
         assert q == pytest.approx(float(d.centers[k]))
+    tail = (1.0 - 0.95) / 2.0
+    ci = dist.central_ci(d, 0.95)
+    assert (ci.lo, ci.hi) == (quantile(d, tail), quantile(d, 1.0 - tail))
 
 
 @settings(max_examples=60, deadline=None)

@@ -713,7 +713,6 @@ def test_trace_line_equals_sorted_json_of_reference_record(
     [
         # no probability and no CI: p is written as null
         CandidateRecord(0, 0, 12.5),
-        # allocate_no_federation without a model leaves the mean NaN
         CandidateRecord(0, 0, math.nan),
         CandidateRecord(
             3, 2, -0.0, -0.0, CiInterval(-0.0, 0.0, 0.95), True, True
@@ -817,10 +816,12 @@ def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
     calls = _spy_exact_encoder(monkeypatch)
     monkeypatch.setattr(sim, "_LINE_TEMPLATES", {})
     shapes = set()
+    methods = set()
     encode = sim._decision_line
 
     def spy(now, request, d, stamp):
         shapes.add(tuple(r.ci is None for r in d.candidates))
+        methods.add(d.method)
         return encode(now, request, d, stamp)
 
     monkeypatch.setattr(sim, "_decision_line", spy)
@@ -832,6 +833,21 @@ def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
     # fig11 runs mr only, whose every candidate has a CI: one shape per
     # candidate count, the gateway alone up to the gateway and 4 neighbours
     assert shapes == {(False,) * k for k in range(1, 6)}
+
+    # fig7 at load 40 runs all four allocators: the mean-based baselines'
+    # candidates have no CI, and their lines never reach the exact encoder
+    fig11_shapes = set(shapes)
+    methods.clear()
+    doc = {
+        "suite": "fig7_alloc_monolithic", "loads": [40], "repetitions": 1,
+        "seed": 1234,
+    }
+    _, records = run_sweep(scenario_from_config(doc), parallel=1, trace=True)
+    assert records
+    assert methods == set(ALLOC_METHODS)
+    assert calls == []
+    assert set(sim._LINE_TEMPLATES) == shapes
+    assert shapes - fig11_shapes
 
 
 def test_trace_line_of_every_engine_decision(monkeypatch):
