@@ -487,6 +487,12 @@ _PINNED_SHA256 = {
         "c6155fcb6939b6bce793fd337e4498955c2f55f17900b3103bc7091045c9f78d",
         "0e26a7c09c25a016c4837954e2736b2703425b6f0f7c6d1b4d173fad635a5e03",
     ),
+    # all four partitioners' plans, and mr's pinned, local and remote records
+    "fig5_partitioning": (
+        8,
+        "ee54d8d60f629810943a79abd625a8b25fa8282bd473fb5e3ecdc6df052a22f1",
+        "e891899c5506cbe5f4e25ab8c9153274fcac7d8cc3477708a60b09d992d3b100",
+    ),
     "fig6_alloc_workflows": (
         8,
         "31062aedfa9adf22f852bb946ddb0c53d9e40e4c8ec512ecf1bf7e7123ceae11",
