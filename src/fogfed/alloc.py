@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 # shift, central_ci, prob_on_time and mean are not called here any more
-# (``Completion.at`` reproduces them); they stay importable from this module
-# because perfbench/traced.py times them under these names.
+# (``Completion.candidate`` reproduces them); they stay importable from this
+# module because perfbench/traced.py times them under these names.
 from .dist import (  # noqa: F401
     CiInterval,
     LatencyPmf,
@@ -47,11 +47,11 @@ REASONS = (
 
 # The records below are built once per request or per examined candidate,
 # so they are slotted rather than frozen (a frozen constructor sets each
-# field through ``object.__setattr__``).  ``allocate_mr`` sets ``blocked``
-# on the records in F that the CI gate rejects before it builds their
-# decision; nothing changes a record after that.  The allocators pass a
-# record's fields by position: a sweep builds tens of thousands of them,
-# and binding keyword arguments costs more per call.
+# field through ``object.__setattr__``).  ``allocate_mr`` sets ``in_f`` on
+# the records in F and ``blocked`` on those the CI gate rejects before it
+# builds their decision; nothing changes a record after that.  The
+# allocators pass a record's fields by position: a sweep builds tens of
+# thousands of them, and binding keyword arguments costs more per call.
 
 
 @dataclass(slots=True, eq=False)
@@ -117,18 +117,25 @@ class Completion:
         self.level = level
         self.mean = d.mean
 
-    def at(self, wait: float, deadline: float) -> tuple[float, CiInterval, float]:
-        """(p, CI, mean) of the base PMF shifted by ``wait`` (see ``shift``).
+    def candidate(
+        self, fog: int, hops: int, wait: float, deadline: float
+    ) -> CandidateRecord:
+        """The record of the base PMF shifted by ``wait`` (see ``shift``).
 
-        p and the CI bounds equal ``prob_on_time``/``central_ci`` of the
-        shifted PMF bit for bit; the mean agrees to float rounding.
+        Its p and CI bounds equal ``prob_on_time``/``central_ci`` of the
+        shifted PMF bit for bit; its mean agrees to float rounding.
         """
         w = self.width
         k = round(wait / w)
         o = self.origin + k * w
-        p = prob_on_time_at(self.cdf, o, w, deadline)
-        ci = CiInterval(o + w * self.lo, o + w * self.hi, self.level)
-        return p, ci, self.mean + k * w
+        # fog, hops, mean_ms, p, ci
+        return CandidateRecord(
+            fog,
+            hops,
+            self.mean + k * w,
+            prob_on_time_at(self.cdf, o, w, deadline),
+            CiInterval(o + w * self.lo, o + w * self.hi, self.level),
+        )
 
 
 class CompletionModel:
@@ -228,17 +235,19 @@ class CompletionModel:
         ci_level: float,
         topo: FederationTopology,
     ) -> tuple[tuple[int, int, Completion], ...]:
-        """``(fog, hops, Completion)`` of each neighbour of ``local``.
+        """``(fog, hops, Completion)`` of ``local``, then its neighbours.
 
-        In adjacency order; ``hops`` counts the entry transfer from
-        ``origin``, the fog of the previous partition.
+        The gateway's row has no transfer term (``hops`` 0).  The neighbours
+        follow in adjacency order; their ``hops`` counts the entry transfer
+        from ``origin``, the fog of the previous partition.
         """
         if topo is not self._topo:
             self._bind(topo)
         key = ("mr", types, local, origin, ci_level)
         hit = self._cache.get(key)
         if hit is None:
-            hit = tuple(
+            hit = ((local, 0, self.completion(types, local, 0, ci_level)),)
+            hit += tuple(
                 (g, hops, self.completion(types, g, hops, ci_level))
                 for g in topo.neighbors(local)
                 for hops in (hop_distance(topo, origin, g),)
@@ -293,67 +302,41 @@ def allocate_mr(
     descending order; the first whose confidence interval is disjoint from
     the local one wins, otherwise the partition stays local.
 
-    Each neighbour's p, CI and mean are ``Completion.at`` of its candidate
-    table row, written out with the same float operations.
+    Every row of the partition's candidate table, the gateway's first, is
+    evaluated by ``Completion.candidate``.  A pinned partition reads only the
+    gateway's row.
     ``etc`` and ``ett`` go unused; perfbench's allocator replay passes them.
     """
     if len(deadlines_rel) != len(plan.partitions):
         raise ValueError("one deadline per partition required")
     waits = queues.waits
-    floor = math.floor
     decisions: list[AllocationDecision] = []
     origin = local
     for idx, part in enumerate(plan.partitions):
         delta = deadlines_rel[idx]
         types = part.topo_order
-        p_r, ci_r, mean_r = model.completion(types, local, 0, ci_level).at(
-            waits.get(local, 0.0), delta
-        )
-        # fog, hops, mean_ms, p, ci
-        local_rec = CandidateRecord(local, 0, mean_r, p_r, ci_r)
-        if plan.must_run_local[idx]:
-            decisions.append(
-                AllocationDecision(
-                    "mr", idx, local, local, "forced_local_pinned", (local_rec,)
-                )
-            )
-            origin = local
-            continue
-        records = [local_rec]
-        f = []
-        table = model.mr_candidates(types, local, origin, ci_level, topo)
-        for g, hops, c in table:
-            w = c.width
-            k = round(waits.get(g, 0.0) / w)
-            o = c.origin + k * w
-            cdf = c.cdf
-            # prob_on_time_at(cdf, o, w, delta)
-            count = floor((delta - o) / w + 1e-9) + 1
-            if count <= 0:
-                p_g = 0.0
-            elif count >= len(cdf):
-                p_g = 1.0
-            else:
-                p_g = cdf[count - 1]
-            in_f = p_g > p_r
-            # fog, hops, mean_ms, p, ci, in_f
-            rec = CandidateRecord(
-                g,
-                hops,
-                c.mean + k * w,
-                p_g,
-                CiInterval(o + w * c.lo, o + w * c.hi, c.level),
-                in_f,
-            )
-            records.append(rec)
-            if in_f:
-                f.append(rec)
-        chosen = local
-        reason = "local_higher_p" if len(records) > 1 else "local_default"
+        pinned = plan.must_run_local[idx]
+        if pinned:
+            rows = ((local, 0, model.completion(types, local, 0, ci_level)),)
+        else:
+            rows = model.mr_candidates(types, local, origin, ci_level, topo)
+        records = [
+            c.candidate(g, hops, waits.get(g, 0.0), delta) for g, hops, c in rows
+        ]
+        local_rec = records[0]
+        p_r = local_rec.p
+        f = [rec for rec in records if rec.p > p_r]
+        for rec in f:
+            rec.in_f = True
         if len(f) > 1:
             f.sort(key=_f_order)
+        chosen = local
+        if pinned:
+            reason = "forced_local_pinned"
+        else:
+            reason = "local_higher_p" if len(records) > 1 else "local_default"
         for rec in f:
-            if ci_disjoint(rec.ci, ci_r):
+            if ci_disjoint(rec.ci, local_rec.ci):
                 chosen = rec.fog
                 reason = "remote_ci_disjoint"
                 break
@@ -382,26 +365,22 @@ def allocate_mect(
     then the lower fog id.
     ``etc`` goes unused; perfbench's allocator replay passes it.
     """
-    types = unit.topo_order
     waits = queues.waits
-    if pinned:
-        rec = CandidateRecord(
-            fog=local,
-            hops=0,
-            mean_ms=waits.get(local, 0.0) + model.mean_exec_sum(types, local),
-        )
-        return AllocationDecision(
-            "mect", partition_index, local, local, "forced_local_pinned", (rec,)
-        )
+    rows = model.mean_candidates(unit.topo_order, local, topo)
     records = []
     best_fog, best_ms = local, math.inf
-    for g, hops, exec_ms in model.mean_candidates(types, local, topo):
+    for g, hops, exec_ms in rows[:1] if pinned else rows:
         ms = waits.get(g, 0.0) + exec_ms
         # fog, hops, mean_ms
         records.append(CandidateRecord(g, hops, ms))
         if ms < best_ms:
             best_fog, best_ms = g, ms
-    reason = "local_default" if best_fog == local else "min_expected_completion"
+    if pinned:
+        reason = "forced_local_pinned"
+    elif best_fog == local:
+        reason = "local_default"
+    else:
+        reason = "min_expected_completion"
     return AllocationDecision(
         "mect", partition_index, local, best_fog, reason, tuple(records)
     )
@@ -429,22 +408,11 @@ def allocate_mcc(
     then the lower fog id.
     ``etc`` goes unused; perfbench's allocator replay passes it.
     """
-    types = unit.topo_order
     waits = queues.waits
-    if pinned:
-        exec_ms = model.mean_exec_sum(types, local)
-        rec = CandidateRecord(
-            fog=local,
-            hops=0,
-            mean_ms=waits.get(local, 0.0) + exec_ms,
-            certainty=deadline_rel - exec_ms,
-        )
-        return AllocationDecision(
-            "mcc", partition_index, local, local, "forced_local_pinned", (rec,)
-        )
+    rows = model.mean_candidates(unit.topo_order, local, topo)
     records = []
     best_fog, best_c, best_ms = None, -math.inf, math.inf
-    for g, hops, exec_ms in model.mean_candidates(types, local, topo):
+    for g, hops, exec_ms in rows[:1] if pinned else rows:
         ms = waits.get(g, 0.0) + exec_ms
         c = deadline_rel - exec_ms
         # fog, hops, mean_ms, p, ci, in_f, blocked, certainty
@@ -453,16 +421,14 @@ def allocate_mcc(
         )
         if c > 0 and c > best_c:
             best_fog, best_c, best_ms = g, c, ms
-    if best_fog is None or deadline_rel - best_ms <= 0:
-        return AllocationDecision(
-            "mcc",
-            partition_index,
-            local,
-            local,
-            "local_no_positive_certainty",
-            tuple(records),
-        )
-    reason = "local_default" if best_fog == local else "max_certainty"
+    if pinned:
+        best_fog, reason = local, "forced_local_pinned"
+    elif best_fog is None or deadline_rel - best_ms <= 0:
+        best_fog, reason = local, "local_no_positive_certainty"
+    elif best_fog == local:
+        reason = "local_default"
+    else:
+        reason = "max_certainty"
     return AllocationDecision(
         "mcc", partition_index, local, best_fog, reason, tuple(records)
     )

@@ -152,7 +152,7 @@ class LinkProfile:
     per_hop_latency: NormalSpec = NormalSpec(20.0, 5.0)
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
+        if not self.bandwidth_mbps > 0:
             raise ValueError("bandwidth must be positive")
 
     def transfer_ms(self, data_mb: float) -> float:

@@ -12,7 +12,7 @@ one, so ties resolve to the smallest source side deterministically.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .alloc import CompletionModel
 from .dist import prob_on_time
@@ -200,31 +200,32 @@ def _best_prob(
 # ------------------------------------------------------------------- methods
 
 
-def no_partition(w: WorkflowSpec) -> PartitionPlan:
+def _unscored_plan(
+    method: str, parts: tuple[WorkflowSpec, ...]
+) -> PartitionPlan:
+    """The plan of a method that evaluates no probability."""
     return PartitionPlan(
-        method="no_partition",
+        method=method,
         alpha=math.nan,
         root_p=math.nan,
-        partitions=(w,),
-        est_success=(math.nan,),
-        must_run_local=_pinned_flags((w,)),
+        partitions=parts,
+        est_success=(math.nan,) * len(parts),
+        must_run_local=_pinned_flags(parts),
     )
+
+
+def no_partition(w: WorkflowSpec) -> PartitionPlan:
+    return _unscored_plan("no_partition", (w,))
 
 
 def baseline_mincut(w: WorkflowSpec) -> PartitionPlan:
     """Single unit-weight bisection; no probability evaluation."""
     if len(w.vertices) < 2:
-        return replace(no_partition(w), method="min_cut")
+        return _unscored_plan("min_cut", (w,))
     weights = {(e.src, e.dst): 1.0 for e in w.edges}
     cut = min_cut(w, weights)
-    parts = (w.induced(cut.side_s), w.induced(cut.side_t))
-    return PartitionPlan(
-        method="min_cut",
-        alpha=math.nan,
-        root_p=math.nan,
-        partitions=parts,
-        est_success=(math.nan, math.nan),
-        must_run_local=_pinned_flags(parts),
+    return _unscored_plan(
+        "min_cut", (w.induced(cut.side_s), w.induced(cut.side_t))
     )
 
 
@@ -235,7 +236,7 @@ def baseline_least_data(w: WorkflowSpec) -> PartitionPlan:
     shortest prefix.
     """
     if len(w.vertices) < 2:
-        return replace(no_partition(w), method="least_data")
+        return _unscored_plan("least_data", (w,))
     order = w.topo_order
 
     def crossing(k: int) -> float:
@@ -249,14 +250,7 @@ def baseline_least_data(w: WorkflowSpec) -> PartitionPlan:
         w.induced(frozenset(order[:best_k])),
         w.induced(frozenset(order[best_k:])),
     )
-    return PartitionPlan(
-        method="least_data",
-        alpha=math.nan,
-        root_p=math.nan,
-        partitions=parts,
-        est_success=(math.nan, math.nan),
-        must_run_local=_pinned_flags(parts),
-    )
+    return _unscored_plan("least_data", parts)
 
 
 def propart(

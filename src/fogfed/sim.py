@@ -690,8 +690,8 @@ def _exact_decision_line(
                 "fog": r.fog,
                 "hops": r.hops,
                 "in_f": r.in_f,
-                "mean_ms": round(r.mean_ms, 3),
-                "p": None if math.isnan(r.p) else round(r.p, 6),
+                "mean_ms": round(float(r.mean_ms), 3),
+                "p": None if math.isnan(r.p) else round(float(r.p), 6),
             }
             for r in d.candidates
         ],
@@ -704,7 +704,7 @@ def _exact_decision_line(
         "request": request.id,
     }
     line = json.dumps(head, sort_keys=True)[:-1] + stamp
-    return line + json.dumps(round(now, 3)) + "}\n"
+    return line + json.dumps(round(float(now), 3)) + "}\n"
 
 
 _BOOL = ("false", "true")
@@ -764,8 +764,8 @@ def _decision_line(
         elif p == 0.0 or p == 1.0:
             p = float(p)
         else:
-            p = float(round(p, 6))
-        args += (r.fog, r.hops, _BOOL[r.in_f], float(round(r.mean_ms, 3)), p)
+            p = round(float(p), 6)
+        args += (r.fog, r.hops, _BOOL[r.in_f], round(float(r.mean_ms), 3), p)
     args += (
         d.chosen,
         _json_str(request.kind),
@@ -775,7 +775,7 @@ def _decision_line(
         _json_str(d.reason),
         request.id,
         stamp,
-        float(round(now, 3)),
+        round(float(now), 3),
     )
     line = template % tuple(args)
     if "inf" in line or "nan" in line:

@@ -452,12 +452,14 @@ grid_pmfs = st.builds(
     st.floats(min_value=0.01, max_value=0.99),
 )
 def test_completion_offsets_match_shifted_pmf(d, wait, deadline, level):
-    p, ci, mean_ms = Completion(d, level).at(wait, deadline)
+    rec = Completion(d, level).candidate(7, 3, wait, deadline)
+    assert (rec.fog, rec.hops) == (7, 3)
     ref = shift(d, wait)
-    assert p == prob_on_time(ref, deadline)
+    assert rec.p == prob_on_time(ref, deadline)
     ref_ci = central_ci(ref, level)
+    ci = rec.ci
     assert (ci.lo, ci.hi, ci.level) == (ref_ci.lo, ref_ci.hi, ref_ci.level)
-    assert abs(mean_ms - ref.mean) <= 1e-9
+    assert abs(rec.mean_ms - ref.mean) <= 1e-9
 
 
 # ------------------------------------------------- candidate-table oracle
@@ -479,9 +481,10 @@ def reference_allocate_mr(
     for idx, part in enumerate(plan.partitions):
         delta = deadlines_rel[idx]
         types = part.topo_order
-        p_r, ci_r, mean_r = m.completion(types, local, 0, ci_level).at(
-            queues.wait(local), delta
+        r = m.completion(types, local, 0, ci_level).candidate(
+            local, 0, queues.wait(local), delta
         )
+        p_r, ci_r, mean_r = r.p, r.ci, r.mean_ms
         local_rec = CandidateRecord(
             fog=local, hops=0, mean_ms=mean_r, p=p_r, ci=ci_r
         )
@@ -496,9 +499,10 @@ def reference_allocate_mr(
         remotes = []
         for g in topo.neighbors(local):
             hops = hop_distance(topo, origin, g)
-            p_g, ci_g, mean_g = m.completion(types, g, hops, ci_level).at(
-                queues.wait(g), delta
+            r = m.completion(types, g, hops, ci_level).candidate(
+                g, hops, queues.wait(g), delta
             )
+            p_g, ci_g, mean_g = r.p, r.ci, r.mean_ms
             remotes.append((g, hops, mean_g, p_g, ci_g))
         chosen = local
         reason = "local_default" if not remotes else "local_higher_p"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -260,6 +262,8 @@ class TestEtt:
     def test_bad_link(self):
         with pytest.raises(ValueError):
             LinkProfile(0.0)
+        with pytest.raises(ValueError):
+            LinkProfile(math.nan)
 
     @pytest.mark.parametrize("width,height", [(1, 1), (2, 1), (3, 3), (4, 3)])
     def test_chains_built_once_equal_per_type_reference(

@@ -36,6 +36,7 @@ from fogfed.sim import (
     SimReport,
     WorkloadSpec,
     _decision_line,
+    _exact_decision_line,
     _trace_stamp,
     aggregate,
     generate_workload,
@@ -611,7 +612,7 @@ def test_trace_sink_records_one_entry_per_decision():
 def reference_record(now, request, d, scenario, method, seed) -> dict:
     """One decision's trace record as a dict: the oracle of the encoder."""
     return {
-        "time_ms": round(now, 3),
+        "time_ms": round(float(now), 3),
         "request": request.id,
         "app": request.spec.app,
         "kind": request.kind,
@@ -624,8 +625,8 @@ def reference_record(now, request, d, scenario, method, seed) -> dict:
             {
                 "fog": r.fog,
                 "hops": r.hops,
-                "mean_ms": round(r.mean_ms, 3),
-                "p": None if math.isnan(r.p) else round(r.p, 6),
+                "mean_ms": round(float(r.mean_ms), 3),
+                "p": None if math.isnan(r.p) else round(float(r.p), 6),
                 "ci": None if r.ci is None else [r.ci.lo, r.ci.hi],
                 "in_f": r.in_f,
                 "blocked": r.blocked,
@@ -805,6 +806,23 @@ def test_trace_line_of_numpy_floats(monkeypatch):
     stamp = _trace_stamp("s", "m", 1)
     assert "np." not in _decision_line(f(0.0005), _trace_request(), d, stamp)
     assert calls == []
+
+
+def test_trace_line_of_huge_numpy_floats():
+    # numpy's round(x, 3) overflows to inf above about 1.8e305
+    f = np.float64
+    candidates = (
+        CandidateRecord(4, 0, f(1e306), f(0.5), CiInterval(0.0, 1.0, 0.95)),
+        CandidateRecord(2, 1, f(-1e306)),
+    )
+    d = AllocationDecision("mr", 0, 4, 4, "local_higher_p", candidates)
+    _assert_line_is_reference(f(1e306), _trace_request(), d, "s", "m", 1)
+    stamp = _trace_stamp("s", "m", 1)
+    for encode in (_decision_line, _exact_decision_line):
+        line = encode(f(1e306), _trace_request(), d, stamp)
+        assert '"mean_ms": 1e+306' in line
+        assert '"mean_ms": -1e+306' in line
+        assert line.endswith('"time_ms": 1e+306}\n')
 
 
 def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
