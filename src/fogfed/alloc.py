@@ -304,7 +304,8 @@ def allocate_mr(
 
     Every row of the partition's candidate table, the gateway's first, is
     evaluated by ``Completion.candidate``.  A pinned partition reads only the
-    gateway's row.
+    gateway's row.  The per-partition lists are built in loops: before
+    CPython 3.12 a comprehension costs a nested function call.
     ``etc`` and ``ett`` go unused; perfbench's allocator replay passes them.
     """
     if len(deadlines_rel) != len(plan.partitions):
@@ -320,14 +321,16 @@ def allocate_mr(
             rows = ((local, 0, model.completion(types, local, 0, ci_level)),)
         else:
             rows = model.mr_candidates(types, local, origin, ci_level, topo)
-        records = [
-            c.candidate(g, hops, waits.get(g, 0.0), delta) for g, hops, c in rows
-        ]
+        records = []
+        for g, hops, c in rows:
+            records.append(c.candidate(g, hops, waits.get(g, 0.0), delta))
         local_rec = records[0]
         p_r = local_rec.p
-        f = [rec for rec in records if rec.p > p_r]
-        for rec in f:
-            rec.in_f = True
+        f = []
+        for rec in records:
+            if rec.p > p_r:
+                rec.in_f = True
+                f.append(rec)
         if len(f) > 1:
             f.sort(key=_f_order)
         chosen = local
@@ -452,15 +455,24 @@ def allocate_no_federation(
 
 
 def validate_mr_decision(d: AllocationDecision) -> list[str]:
-    """Re-check the allocation contract from the logged records."""
+    """Re-check the allocation contract from the logged records.
+
+    The issues come in a fixed order.  The record lists are built in loops,
+    as in ``allocate_mr``.
+    """
     issues: list[str] = []
     if d.method != "mr":
         return issues
-    local_recs = [r for r in d.candidates if r.fog == d.local_fog]
+    local_recs = []
+    remotes = []
+    for r in d.candidates:
+        if r.fog == d.local_fog:
+            local_recs.append(r)
+        else:
+            remotes.append(r)
     if len(local_recs) != 1:
         return ["decision log missing the local record"]
     local = local_recs[0]
-    remotes = [r for r in d.candidates if r.fog != d.local_fog]
     if d.reason == "forced_local_pinned":
         if d.chosen != d.local_fog:
             issues.append("pinned partition assigned remotely")
@@ -469,10 +481,13 @@ def validate_mr_decision(d: AllocationDecision) -> list[str]:
         if r.in_f != (r.p > local.p):
             issues.append(f"fog {r.fog} F-membership mislabeled")
     if d.reason == "remote_ci_disjoint":
-        winner = [r for r in remotes if r.fog == d.chosen]
-        if not winner:
+        win = None
+        for r in remotes:
+            if r.fog == d.chosen:
+                win = r
+                break
+        if win is None:
             return ["chosen fog missing from the log"]
-        win = winner[0]
         if not win.p > local.p:
             issues.append("remote assignment without a probability gain")
         if win.ci is None or local.ci is None or not ci_disjoint(win.ci, local.ci):

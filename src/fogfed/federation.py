@@ -48,12 +48,34 @@ class FogSystem:
 
 @dataclass(frozen=True, eq=False)
 class FederationTopology:
-    """Grid federation: fogs indexed by id, neighbours by 4-adjacency."""
+    """Grid federation: fogs indexed by id, neighbours by 4-adjacency.
+
+    Fog ids are row-major grid positions (``hop_distance`` reads them so),
+    so the grid holds exactly ``width * height`` fogs, ``fogs[i].id == i``,
+    and the adjacency names only those ids.
+    """
 
     width: int
     height: int
     fogs: tuple[FogSystem, ...]
     adjacency: dict[int, tuple[int, ...]] = field(repr=False)
+
+    def __post_init__(self) -> None:
+        if self.width < 1 or self.height < 1:
+            raise ValueError("grid dimensions must be at least 1x1")
+        n = len(self.fogs)
+        if n != self.width * self.height:
+            raise ValueError(
+                f"{n} fogs on a {self.width}x{self.height} grid; "
+                f"need {self.width * self.height}"
+            )
+        for i, f in enumerate(self.fogs):
+            if f.id != i:
+                raise ValueError(f"fog at index {i} has id {f.id}")
+        for fid, nbrs in self.adjacency.items():
+            for g in (fid, *nbrs):
+                if not 0 <= g < n:
+                    raise ValueError(f"adjacency names unknown fog {g}")
 
     def fog(self, fog_id: int) -> FogSystem:
         if not 0 <= fog_id < len(self.fogs):

@@ -18,17 +18,20 @@ exogenous stream known in advance, so they are merged in time order from
 the sorted request list instead of sitting in the event heap, which then
 holds only the few in-flight transfers and executions.  Each request's
 instances are linked to their successors when it arrives, and each carries
-its execution PMF, so no event looks an instance or a PMF up again.
+its execution PMF, so no event looks an instance or a PMF up again.  Hop
+counts come from the context's table, heap pushes are written where they
+happen, and the per-arrival and per-decision code builds its lists in plain
+loops: before CPython 3.12 every comprehension is a nested function call.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
 
@@ -120,8 +123,9 @@ class Context:
 
     Built once per cell and read by every run of it.  The constructor
     derives the completion model, each type's mean exec time (the E_i of
-    deadlines), each template's (workflow, monolithic) shape pair and the
-    plan cache.  ``plans`` maps a partition config to
+    deadlines), each template's (workflow, monolithic) shape pair, the hop
+    table (``hops[a][b]`` is ``hop_distance`` from fog ``a`` to fog ``b``)
+    and the plan cache.  ``plans`` maps a partition config to
     ``{(id(spec), origin): (spec, plan, wiring)}``; plans depend only on
     load-independent inputs, and holding the spec keeps its id unique.
     ``slacks`` maps ``id(spec)`` to ``(spec, StageSlacks)`` the same way;
@@ -137,6 +141,7 @@ class Context:
     model: CompletionModel = field(init=False)
     mean_exec: dict[str, float] = field(init=False)
     shapes: tuple[tuple[WorkflowSpec, WorkflowSpec], ...] = field(init=False)
+    hops: tuple[tuple[int, ...], ...] = field(init=False)
     slacks: dict = field(init=False)
     plans: dict = field(init=False)
 
@@ -144,12 +149,17 @@ class Context:
         self.topo.fog(self.origin_fog)
         if not self.templates:
             raise ValueError("need at least one application template")
+        fogs = self.topo.fog_ids()
         derived = {
             "model": CompletionModel(self.etc, self.ett),
             "mean_exec": {
                 t: mean_exec_profile(self.etc, t) for t in self.etc.types()
             },
             "shapes": tuple((w, to_monolithic(w)) for w in self.templates),
+            "hops": tuple(
+                tuple(hop_distance(self.topo, a, b) for b in fogs)
+                for a in fogs
+            ),
             "slacks": {},
             "plans": {},
         }
@@ -364,25 +374,22 @@ class _Engine:
 
     # ------------------------------------------------------------- plumbing
 
-    def _push(self, time: float, kind: int, payload) -> None:
-        heapq.heappush(self._heap, (time, self._seq, kind, payload))
-        self._seq += 1
-
     def _queue_snapshot(self, gateway: int) -> QueueEstimate:
         """Expected waits on the gateway and its neighbours.
 
         Those are the only fogs an allocator reads.  A busy node's ``u`` is
         never before now, since its completion event is still queued.  An
         idle fog has no running work to sum; otherwise the busy nodes are
-        summed in node order.
+        summed in node order, left to right from int 0.  That is what
+        ``sum()`` computes on CPython 3.10 and 3.11; from 3.12 ``sum()``
+        compensates, so this loop, not ``sum()``, fixes the last bits.
         """
         watched = self._watched.get(gateway)
         if watched is None:
-            fogs = (gateway, *self.ctx.topo.neighbors(gateway))
-            watched = [
-                (fid, self.runtimes[fid], len(self.runtimes[fid].busy_until))
-                for fid in fogs
-            ]
+            watched = []
+            for fid in (gateway, *self.ctx.topo.neighbors(gateway)):
+                rt = self.runtimes[fid]
+                watched.append((fid, rt, len(rt.busy_until)))
             self._watched[gateway] = watched
         now = self._now
         waits = {}
@@ -390,7 +397,10 @@ class _Engine:
             if rt.free == n:
                 waits[fid] = rt.pending_mean_ms / n
                 continue
-            running = sum([u - now for u in rt.busy_until if u is not None])
+            running = 0
+            for u in rt.busy_until:
+                if u is not None:
+                    running += u - now
             waits[fid] = (rt.pending_mean_ms + running) / n
         return QueueEstimate(waits)
 
@@ -461,53 +471,59 @@ class _Engine:
 
     def _decide_mect(self, plan, request, queues):
         ctx = self.ctx
-        return [
-            allocate_mect(
-                part,
-                request.origin_fog,
-                ctx.topo,
-                ctx.etc,
-                queues,
-                pinned=pinned,
-                partition_index=idx,
-                model=ctx.model,
+        decisions = []
+        for idx, (part, pinned) in enumerate(
+            zip(plan.partitions, plan.must_run_local)
+        ):
+            decisions.append(
+                allocate_mect(
+                    part,
+                    request.origin_fog,
+                    ctx.topo,
+                    ctx.etc,
+                    queues,
+                    pinned=pinned,
+                    partition_index=idx,
+                    model=ctx.model,
+                )
             )
-            for idx, (part, pinned) in enumerate(
-                zip(plan.partitions, plan.must_run_local)
-            )
-        ]
+        return decisions
 
     def _decide_mcc(self, plan, request, queues):
         ctx = self.ctx
         deadlines = self._deadlines(plan, request)
-        return [
-            allocate_mcc(
-                part,
-                request.origin_fog,
-                ctx.topo,
-                ctx.etc,
-                queues,
-                deadlines[idx],
-                pinned=pinned,
-                partition_index=idx,
-                model=ctx.model,
+        decisions = []
+        for idx, (part, pinned) in enumerate(
+            zip(plan.partitions, plan.must_run_local)
+        ):
+            decisions.append(
+                allocate_mcc(
+                    part,
+                    request.origin_fog,
+                    ctx.topo,
+                    ctx.etc,
+                    queues,
+                    deadlines[idx],
+                    pinned=pinned,
+                    partition_index=idx,
+                    model=ctx.model,
+                )
             )
-            for idx, (part, pinned) in enumerate(
-                zip(plan.partitions, plan.must_run_local)
-            )
-        ]
+        return decisions
 
     def _decide_nofed(self, plan, request, queues):
-        return [
-            allocate_no_federation(
-                part,
-                request.origin_fog,
-                queues=queues,
-                partition_index=idx,
-                model=self.ctx.model,
+        decisions = []
+        for idx, part in enumerate(plan.partitions):
+            decisions.append(
+                allocate_no_federation(
+                    part,
+                    request.origin_fog,
+                    queues=queues,
+                    partition_index=idx,
+                    model=self.ctx.model,
+                )
             )
-            for idx, part in enumerate(plan.partitions)
-        ]
+        return decisions
 
     _DECIDERS = {
         "mr": _decide_mr,
@@ -517,12 +533,18 @@ class _Engine:
     }
 
     # --------------------------------------------------------------- events
+    #
+    # A heap event is ``(time, seq, kind, instance)``; ``seq`` counts the
+    # run's pushes, so events at one time pop in push order.
 
     def _on_arrival(self, request: Request) -> None:
         _spec, plan, wiring = self._plan_for(request)
         decisions = self._allocate(plan, request)
         origin = request.origin_fog
-        etc = self.ctx.etc
+        ctx = self.ctx
+        etc = ctx.etc
+        hops = ctx.hops[origin]
+        runtimes = self.runtimes
         self._exits_left[request.id] = wiring.exits
         insts = []
         for vid, part_idx, n_preds in wiring.vertices:
@@ -533,16 +555,18 @@ class _Engine:
                 request, vid, fog, pmf, n_preds + entry_needs_transfer
             )
             insts.append(inst)
-            self.runtimes[fog].pending_mean_ms += pmf.mean
+            runtimes[fog].pending_mean_ms += pmf.mean
             if entry_needs_transfer:
-                hops = hop_distance(self.ctx.topo, origin, fog)
-                dur = sample(self.ctx.ett.pmf(vid, hops), self.uniforms)
-                self._push(self._now + dur, _TRANSFER, inst)
+                dur = sample(ctx.ett.pmf(vid, hops[fog]), self.uniforms)
+                heappush(
+                    self._heap, (self._now + dur, self._seq, _TRANSFER, inst)
+                )
+                self._seq += 1
             elif n_preds == 0:
                 self._enqueue(inst)
         # no event of this request has run yet, so linking last is safe
         for i, succ in wiring.links:
-            insts[i].successors = [insts[j] for j in succ]
+            insts[i].successors = list(map(insts.__getitem__, succ))
 
     def _on_transfer(self, inst: _Instance) -> None:
         inst.missing -= 1
@@ -557,23 +581,28 @@ class _Engine:
             )
         rt = self.runtimes[inst.fog]
         rt.queue.append(inst)
-        self._dispatch(inst.fog)
+        if rt.free:
+            self._dispatch(inst.fog)
 
     def _dispatch(self, fog: int) -> None:
+        """Start queued instances on free nodes; a no-op when either is none."""
         rt = self.runtimes[fog]
-        while rt.queue and rt.free:
+        busy_until = rt.busy_until
+        queue = rt.queue
+        while queue and rt.free:
             # the lowest free node, so snapshot sums keep their order
-            node = rt.busy_until.index(None)
-            inst = rt.queue.popleft()
+            node = busy_until.index(None)
+            inst = queue.popleft()
             dur = sample(inst.pmf, self.uniforms)
             until = self._now + dur
-            if rt.busy_until[node] is not None:
+            if busy_until[node] is not None:
                 raise RuntimeError(f"fog {fog} node {node} dispatched twice")
-            rt.busy_until[node] = until
+            busy_until[node] = until
             rt.free -= 1
             rt.pending_mean_ms = max(0.0, rt.pending_mean_ms - inst.pmf.mean)
             inst.node = node
-            self._push(until, _EXEC_DONE, inst)
+            heappush(self._heap, (until, self._seq, _EXEC_DONE, inst))
+            self._seq += 1
 
     def _on_exec_done(self, inst: _Instance) -> None:
         fog = inst.fog
@@ -591,12 +620,17 @@ class _Engine:
                 if nxt.missing == 0:
                     self._enqueue(nxt)
             else:
-                hops = hop_distance(self.ctx.topo, fog, nxt.fog)
+                ctx = self.ctx
                 dur = sample(
-                    self.ctx.ett.pmf(nxt.vertex_id, hops), self.uniforms
+                    ctx.ett.pmf(nxt.vertex_id, ctx.hops[fog][nxt.fog]),
+                    self.uniforms,
                 )
-                self._push(self._now + dur, _TRANSFER, nxt)
-        self._dispatch(fog)
+                heappush(
+                    self._heap, (self._now + dur, self._seq, _TRANSFER, nxt)
+                )
+                self._seq += 1
+        if rt.queue:
+            self._dispatch(fog)
 
     # ------------------------------------------------------------------ run
 
@@ -617,7 +651,7 @@ class _Engine:
                 i += 1
                 time, kind = request.arrival_ms, None
             elif heap:
-                time, _, kind, inst = heapq.heappop(heap)
+                time, _, kind, inst = heappop(heap)
             else:
                 break
             if time < last:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from fogfed.federation import (
     build_grid,
     hop_distance,
     mean_exec_profile,
+    override_mips,
     slowest_fog,
 )
 from fogfed.model import APP_PROFILES
@@ -89,6 +91,65 @@ class TestGrid:
         topo = build_grid(3, 3, seed=42)
         sid = slowest_fog(topo)
         assert topo.fog(sid).node_mips == min(f.node_mips for f in topo.fogs)
+
+
+class TestTopologyChecks:
+    """Fog ids are read as row-major grid positions, so a topology whose
+    ids, fog count or adjacency disagree with its grid is rejected."""
+
+    @pytest.mark.parametrize(
+        "width,height", [(1, 1), (2, 1), (3, 1), (3, 2), (3, 3), (4, 3)]
+    )
+    def test_built_grids_pass(self, width, height):
+        topo = build_grid(width, height, seed=3)
+        dataclasses.replace(topo)
+        for fid in topo.fog_ids():
+            repinned = override_mips(topo, fid, 2000.0)
+            assert repinned.fog(fid).node_mips == 2000.0
+
+    def test_swapped_fog_ids(self):
+        topo = build_grid(3, 3, seed=1)
+        fogs = (topo.fogs[1], topo.fogs[0], *topo.fogs[2:])
+        with pytest.raises(ValueError, match="index 0 has id 1"):
+            dataclasses.replace(topo, fogs=fogs)
+
+    @pytest.mark.parametrize("count", [0, 2, 8, 10])
+    def test_fog_count_other_than_the_grid(self, count):
+        topo = build_grid(3, 3, seed=1)
+        extra = FogSystem(9, (0, 3), 2000.0)
+        fogs = (*topo.fogs, extra)[:count]
+        with pytest.raises(ValueError, match=f"{count} fogs on a 3x3 grid"):
+            dataclasses.replace(topo, fogs=fogs)
+
+    def test_non_positive_dimensions(self):
+        topo = build_grid(1, 1, seed=1)
+        with pytest.raises(ValueError, match="at least 1x1"):
+            dataclasses.replace(topo, width=-1, height=-1)
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            {0: (1,), 1: (0, 5)},
+            {0: (1,), 1: (0,), 5: ()},
+            {0: (-1,), 1: (0,)},
+        ],
+    )
+    def test_adjacency_naming_an_unknown_fog(self, adjacency):
+        topo = build_grid(2, 1, seed=1)
+        with pytest.raises(ValueError, match="unknown fog"):
+            dataclasses.replace(topo, adjacency=adjacency)
+
+    def test_each_error_is_one_line(self):
+        topo = build_grid(2, 1, seed=1)
+        bad = (
+            {"fogs": topo.fogs[::-1]},
+            {"fogs": topo.fogs[:1]},
+            {"adjacency": {0: (5,), 1: (0,)}},
+        )
+        for change in bad:
+            with pytest.raises(ValueError) as err:
+                dataclasses.replace(topo, **change)
+            assert "\n" not in str(err.value)
 
 
 class TestHopDistance:

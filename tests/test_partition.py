@@ -8,11 +8,13 @@ from fogfed.alloc import CompletionModel
 from fogfed.dist import NormalSpec, point_mass, prob_on_time
 from fogfed.federation import EtcMatrix
 from fogfed.model import (
+    APP_NAMES,
     Edge,
     MicroServiceSpec,
     Request,
     WorkflowSpec,
     builtin_app,
+    to_monolithic,
 )
 from fogfed.partition import (
     PartitionConfig,
@@ -443,6 +445,21 @@ class TestBaselines:
         # prefix crossings: {a}=6, {a,b}=4, {a,b,c}=4 -> first k wins
         plan = baseline_least_data(w)
         assert {v.id for v in plan.partitions[0].vertices} == {"a", "b"}
+
+    @pytest.mark.parametrize(
+        "build", [no_partition, baseline_mincut, baseline_least_data]
+    )
+    def test_unscored_plans_hold_one_nan_per_partition(self, build):
+        # est_success is read per partition; a method that scores none
+        # still writes one NaN for each, single-vertex fallbacks included
+        shapes = [WorkflowSpec("t", _vs("a"), ()), _chain(["a", "b", "c"])]
+        for name in APP_NAMES:
+            w = builtin_app(name)
+            shapes += [w, to_monolithic(w)]
+        for w in shapes:
+            plan = build(w)
+            assert len(plan.est_success) == len(plan.partitions), w.app
+            assert all(math.isnan(p) for p in plan.est_success), w.app
 
     def test_build_plan_dispatch(self):
         w = builtin_app("oil")

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import json
 import math
+import operator
+import sys
 from types import MappingProxyType
 
 import numpy as np
@@ -9,12 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fogfed.alloc import REASONS, AllocationDecision, CandidateRecord
+from fogfed.cli import DEGREE_GRIDS
 from fogfed.dist import CiInterval, NormalSpec
 from fogfed.federation import (
     LinkProfile,
     build_etc,
     build_ett,
     build_grid,
+    hop_distance,
     mean_exec_profile,
 )
 from fogfed.model import (
@@ -894,6 +899,15 @@ def test_trace_line_of_every_engine_decision(monkeypatch):
 
 # ----------------------------------------------------------- queue snapshot
 
+# ``sum()`` of floats as CPython 3.10 and 3.11 compute it, left to right
+# from int 0: the arithmetic every recorded digest holds.  From 3.12
+# ``sum()`` compensates; the engine's plain loop keeps the older bits.
+_left_sum = (
+    sum
+    if sys.version_info < (3, 12)
+    else lambda xs: functools.reduce(operator.add, xs, 0)
+)
+
 
 def reference_waits(engine, gateway) -> dict:
     """Queue waits by the one formula for every fog: the oracle.
@@ -905,7 +919,7 @@ def reference_waits(engine, gateway) -> dict:
     waits = {}
     for fid in (gateway, *engine.ctx.topo.neighbors(gateway)):
         rt = engine.runtimes[fid]
-        running = sum([u - now for u in rt.busy_until if u is not None])
+        running = _left_sum([u - now for u in rt.busy_until if u is not None])
         waits[fid] = (rt.pending_mean_ms + running) / len(rt.busy_until)
     return waits
 
@@ -950,6 +964,81 @@ def test_queue_snapshot_equals_reference_formula(now, idle, busy, mixed):
         )
     got = engine._queue_snapshot(1).waits
     assert _hex_waits(got) == _hex_waits(reference_waits(engine, 1))
+
+
+@functools.cache
+def _centre_cfg():
+    # gateway 4 of a 3x3 grid watches itself, then fogs 1, 3, 5 and 7
+    return make_cfg([unit_app()], width=3, height=3, origin=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.floats(min_value=0.0, max_value=1e6),
+    st.lists(
+        st.tuples(
+            st.lists(st.one_of(st.none(), remaining), min_size=1, max_size=8),
+            pending,
+        ),
+        min_size=5,
+        max_size=5,
+    ),
+)
+def test_queue_snapshot_sums_busy_nodes_left_to_right(now, states):
+    """Each fog's wait is ``(pending + sum(busy remainders)) / nodes``, bit
+    for bit, on any mix of busy and idle nodes."""
+    import fogfed.sim as sim
+
+    engine = sim._Engine(_centre_cfg(), seed=0)
+    engine._now = now
+    watched = (4, 1, 3, 5, 7)
+    want = {}
+    for fid, (nodes, pend) in zip(watched, states):
+        busy = [None if r is None else now + r for r in nodes]
+        engine.runtimes[fid] = sim._FogRuntime(
+            busy, busy.count(None), pending_mean_ms=pend
+        )
+        running = _left_sum([u - now for u in busy if u is not None])
+        want[fid] = (pend + running) / len(busy)
+    got = engine._queue_snapshot(4).waits
+    assert tuple(got) == watched
+    assert _hex_waits(got) == _hex_waits(want)
+
+
+@pytest.mark.parametrize(
+    "width,height",
+    sorted({(w, h) for w, h, _ in DEGREE_GRIDS.values()} | {(3, 3), (1, 1)}),
+)
+def test_context_hop_table_is_hop_distance(width, height):
+    ctx = make_cfg([unit_app()], width=width, height=height).ctx
+    n = width * height
+    assert len(ctx.hops) == n
+    for a in range(n):
+        assert len(ctx.hops[a]) == n
+        for b in range(n):
+            assert ctx.hops[a][b] == hop_distance(ctx.topo, a, b)
+
+
+def test_engine_reads_hops_from_the_context_table(monkeypatch):
+    """Entry transfers and cross-fog hand-offs take their hop counts from
+    ``Context.hops``; a run calls ``hop_distance`` no more."""
+    import fogfed.sim as sim
+
+    cfg = make_cfg(
+        [_two_stage_chain(), unit_app(mean_mi=400.0, std_mi=60.0)],
+        width=3, height=3, origin=4, node_count=1, total=60, window=2000.0,
+        alloc="mect", partition_method="min_cut",
+    )
+    calls = []
+
+    def counting(topo, a, b):
+        calls.append((a, b))
+        return hop_distance(topo, a, b)
+
+    monkeypatch.setattr(sim, "hop_distance", counting)
+    report = run(cfg, seed=3)
+    assert report.remote_assignments > 0
+    assert calls == []
 
 
 def test_queue_snapshot_equals_reference_in_a_run(monkeypatch):
@@ -1074,14 +1163,15 @@ def test_no_instance_outlives_its_run_without_the_cyclic_collector(
         return sum(type(o) is sim._Instance for o in gc.get_objects())
 
     seen = []
-    dispatch = sim._Engine._dispatch
+    exec_done = sim._Engine._on_exec_done
 
-    def watch(engine, fog):
+    # every execution ends in this event, whether or not a queue is waiting
+    def watch(engine, inst):
         if len(engine._completions) == 20 and not seen[-1]:
             seen[-1] = live_instances()
-        dispatch(engine, fog)
+        exec_done(engine, inst)
 
-    monkeypatch.setattr(sim._Engine, "_dispatch", watch)
+    monkeypatch.setattr(sim._Engine, "_on_exec_done", watch)
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -1113,7 +1203,8 @@ def reference_run(engine, requests, seed):
 
     arrival = -1
     for r in requests:
-        engine._push(r.arrival_ms, arrival, r)
+        heapq.heappush(engine._heap, (r.arrival_ms, engine._seq, arrival, r))
+        engine._seq += 1
     last = -math.inf
     while engine._heap:
         time, _, kind, payload = heapq.heappop(engine._heap)

@@ -20,6 +20,49 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
+# the engine's per-arrival and per-decision path, by file: before CPython
+# 3.12 every comprehension there is a nested function call per event
+HOT_PATH = {
+    "sim.py": (
+        "_queue_snapshot",
+        "_on_arrival",
+        "_enqueue",
+        "_dispatch",
+        "_on_exec_done",
+        "_decide_mr",
+        "_decide_mect",
+        "_decide_mcc",
+        "_decide_nofed",
+    ),
+    "alloc.py": (
+        "allocate_mr",
+        "allocate_mect",
+        "allocate_mcc",
+        "allocate_no_federation",
+        "validate_mr_decision",
+    ),
+}
+COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def test_hot_path_builds_no_comprehension():
+    found = []
+    seen = set()
+    for name, funcs in HOT_PATH.items():
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.FunctionDef) and node.name in funcs:
+                seen.add((name, node.name))
+                found += [
+                    f"{name}:{inner.lineno} in {node.name}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, COMPREHENSIONS)
+                ]
+    # a renamed function must be renamed here too, not silently unchecked
+    assert seen == {(n, f) for n, funcs in HOT_PATH.items() for f in funcs}
+    assert found == []
+
+
 def test_package_imports_only_stdlib_numpy_and_itself():
     # start-up stays numpy-only: no scipy, networkx or other third party
     allowed = sys.stdlib_module_names | {"numpy", "fogfed"}
