@@ -10,6 +10,27 @@ The package is organised bottom-up:
 - ``sim``: the per-cell run context, the discrete-event engine, workload
   generation and aggregation.
 - ``cli``: scenario presets and the command line front end.
+
+Importing the package imports numpy, with OpenBLAS held to one thread (below).
 """
 
 __version__ = "0.1.0"
+
+import os as _os
+
+# numpy's bundled OpenBLAS starts a pool of worker threads when it loads,
+# which roughly doubles the cost of ``import numpy``.  fogfed's one BLAS call,
+# ``np.dot`` in ``LatencyPmf.mean``, gains nothing from them, and one thread
+# also keeps the last bit of a large PMF's mean off the host's core count.
+# OpenBLAS reads the variable only when it loads, so it is removed again at
+# once: the caller's environment and child processes stay as they were.  A
+# caller who set either variable keeps their choice.
+if "OPENBLAS_NUM_THREADS" in _os.environ or "OMP_NUM_THREADS" in _os.environ:
+    import numpy
+else:
+    _os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del _os.environ["OPENBLAS_NUM_THREADS"]
+del _os, numpy

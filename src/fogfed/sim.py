@@ -595,8 +595,6 @@ class _Engine:
             inst = queue.popleft()
             dur = sample(inst.pmf, self.uniforms)
             until = self._now + dur
-            if busy_until[node] is not None:
-                raise RuntimeError(f"fog {fog} node {node} dispatched twice")
             busy_until[node] = until
             rt.free -= 1
             rt.pending_mean_ms = max(0.0, rt.pending_mean_ms - inst.pmf.mean)
@@ -629,7 +627,8 @@ class _Engine:
                     self._heap, (self._now + dur, self._seq, _TRANSFER, nxt)
                 )
                 self._seq += 1
-        if rt.queue:
+        # a same-fog successor's ``_enqueue`` may have taken the freed node
+        if rt.queue and rt.free:
             self._dispatch(fog)
 
     # ------------------------------------------------------------------ run
@@ -672,12 +671,14 @@ class _Engine:
         total = len(requests)
         if len(self._completions) != total:
             raise RuntimeError("simulation ended with unfinished requests")
-        met = sum(
-            1
-            for r in requests
-            if self._completions[r.id] <= r.workflow_deadline
-        )
-        makespans = [self._completions[r.id] - r.arrival_ms for r in requests]
+        completions = self._completions
+        met = 0
+        makespans = []
+        for r in requests:
+            done = completions[r.id]
+            if done <= r.workflow_deadline:
+                met += 1
+            makespans.append(done - r.arrival_ms)
         return SimReport(
             scenario=self.cfg.scenario,
             method=self.cfg.method,

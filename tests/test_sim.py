@@ -1378,6 +1378,22 @@ def test_degree_reported_for_origin():
     assert report.degree == 4
 
 
+def test_completion_exactly_at_the_deadline_is_met():
+    import fogfed.sim as sim
+
+    cfg = make_cfg([unit_app()], node_count=1, total=4)
+    requests = generate_workload(cfg.workload, 1, cfg.ctx)
+    engine = sim._Engine(cfg, 1)
+    late = requests[0]
+    engine._completions = {
+        r.id: math.nextafter(r.workflow_deadline, math.inf)
+        if r is late else r.workflow_deadline
+        for r in requests
+    }
+    report = engine._report(requests, 1)
+    assert (report.met, report.missed) == (3, 1)
+
+
 # ---------------------------------------------------------------- aggregate
 
 

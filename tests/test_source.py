@@ -20,8 +20,8 @@ def test_package_has_no_assert_statements():
     assert found == []
 
 
-# the engine's per-arrival and per-decision path, by file: before CPython
-# 3.12 every comprehension there is a nested function call per event
+# the engine's per-arrival, per-decision and per-run path, by file: before
+# CPython 3.12 every comprehension there is a nested function call
 HOT_PATH = {
     "sim.py": (
         "_queue_snapshot",
@@ -33,6 +33,7 @@ HOT_PATH = {
         "_decide_mect",
         "_decide_mcc",
         "_decide_nofed",
+        "_report",
     ),
     "alloc.py": (
         "allocate_mr",
