@@ -24,8 +24,11 @@ import os as _os
 # also keeps the last bit of a large PMF's mean off the host's core count.
 # OpenBLAS reads the variable only when it loads, so it is removed again at
 # once: the caller's environment and child processes stay as they were.  A
-# caller who set either variable keeps their choice.
-if "OPENBLAS_NUM_THREADS" in _os.environ or "OMP_NUM_THREADS" in _os.environ:
+# caller who set any of the variables OpenBLAS reads keeps their choice.
+if any(
+    var in _os.environ
+    for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
     import numpy
 else:
     _os.environ["OPENBLAS_NUM_THREADS"] = "1"

@@ -26,7 +26,6 @@ loops: before CPython 3.12 every comprehension is a nested function call.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from collections.abc import Sequence
@@ -217,11 +216,17 @@ class SimReport:
     plan_violations: int
 
     def __post_init__(self) -> None:
+        # written so that a NaN fails them
+        if not self.requests >= 1:
+            raise ValueError(f"requests must be >= 1, got {self.requests}")
+        if not 0.0 <= self.mix <= 1.0:
+            raise ValueError(f"mix must be in [0, 1], got {self.mix}")
         if not 0.0 <= self.meet_rate <= 1.0:
             raise ValueError("meet rate out of range")
-        if not self.avg_makespan_ms >= 0:
+        if not 0 <= self.avg_makespan_ms < math.inf:
             raise ValueError(
-                f"makespan must be non-negative, got {self.avg_makespan_ms}"
+                "makespan must be finite and non-negative, "
+                f"got {self.avg_makespan_ms}"
             )
 
 
@@ -708,48 +713,14 @@ def _trace_stamp(scenario: str, method: str, seed: int) -> str:
     )
 
 
-def _exact_decision_line(
-    now: float, request: Request, d: AllocationDecision, stamp: str
-) -> str:
-    """``_decision_line`` for any record, non-finite numbers included.
-
-    ``json.dumps`` encodes the record without the stamp's keys, which sort
-    between ``request`` and ``time_ms``; the stamp goes before its last brace.
-    """
-    head = {
-        "app": request.spec.app,
-        "candidates": [
-            {
-                "blocked": r.blocked,
-                "ci": None if r.ci is None else [r.ci.lo, r.ci.hi],
-                "fog": r.fog,
-                "hops": r.hops,
-                "in_f": r.in_f,
-                "mean_ms": round(float(r.mean_ms), 3),
-                "p": None if math.isnan(r.p) else round(float(r.p), 6),
-            }
-            for r in d.candidates
-        ],
-        "chosen": d.chosen,
-        "kind": request.kind,
-        "local_fog": d.local_fog,
-        "method": d.method,
-        "partition": d.partition_index,
-        "reason": d.reason,
-        "request": request.id,
-    }
-    line = json.dumps(head, sort_keys=True)[:-1] + stamp
-    return line + json.dumps(round(float(now), 3)) + "}\n"
-
-
 _BOOL = ("false", "true")
 _CANDIDATE = (
-    '{"blocked": %s, "ci": [%r, %r], "fog": %d, "hops": %d, "in_f": %s, '
-    '"mean_ms": %r, "p": %s}'
+    '{"blocked": %s, "ci": [%s, %s], "fog": %d, "hops": %d, "in_f": %s, '
+    '"mean_ms": %s, "p": %s}'
 )
 _CANDIDATE_NO_CI = (
     '{"blocked": %s, "ci": null, "fog": %d, "hops": %d, "in_f": %s, '
-    '"mean_ms": %r, "p": %s}'
+    '"mean_ms": %s, "p": %s}'
 )
 # line template per candidate shape: one ``ci is None`` flag per candidate
 _LINE_TEMPLATES: dict[tuple[bool, ...], str] = {}
@@ -760,8 +731,16 @@ def _line_template(shape: tuple[bool, ...]) -> str:
         '{"app": %s, "candidates": ['
         + ", ".join([_CANDIDATE_NO_CI if n else _CANDIDATE for n in shape])
         + '], "chosen": %d, "kind": %s, "local_fog": %d, "method": %s, '
-        '"partition": %d, "reason": %s, "request": %d%s%r}\n'
+        '"partition": %d, "reason": %s, "request": %d%s%s}\n'
     )
+
+
+def _json_number(arg):
+    """``arg``, or ``json.dumps``'s spelling of it if it is a non-finite
+    float: ``NaN``, ``Infinity`` or ``-Infinity``."""
+    if isinstance(arg, float) and not math.isfinite(arg):
+        return "NaN" if arg != arg else "Infinity" if arg > 0 else "-Infinity"
+    return arg
 
 
 def _decision_line(
@@ -776,10 +755,11 @@ def _decision_line(
     the run's ``stamp`` (see ``_trace_stamp``).
 
     The line is one ``%`` of the template of its candidate shape.  Floats
-    go through ``%r`` after ``float()``, which spells a finite float as
+    go through ``%s`` after ``float()``, which spells a finite float as
     ``json.dumps`` does; a probability of exactly 0 or 1 needs no rounding.
-    ``%r`` spells a non-finite float ``inf`` or ``nan``, so a line holding
-    either text is encoded again by ``_exact_decision_line``.
+    ``%s`` spells a non-finite float ``inf`` or ``nan``, so a line holding
+    either text is filled again with each argument passed through
+    ``_json_number``.
     """
     cands = d.candidates
     shape = tuple([r.ci is None for r in cands])
@@ -814,7 +794,7 @@ def _decision_line(
     )
     line = template % tuple(args)
     if "inf" in line or "nan" in line:
-        return _exact_decision_line(now, request, d, stamp)
+        line = template % tuple(map(_json_number, args))
     return line
 
 

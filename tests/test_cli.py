@@ -480,7 +480,7 @@ def test_simulate_trace_equals_run_sweep_records(tmp_path, parallel):
 # four on monolithic requests at a load where mr sends some remote, and
 # fig8 all four on mixed requests with 1 400-1 700 draws per run, so the
 # engine's uniform stream is refilled more than once.  Common random
-# numbers (ROADMAP item 3) will move every one of them.
+# numbers across methods, an open ROADMAP item, will move every one of them.
 _PINNED_SHA256 = {
     "fig11_scaling_workflows": (
         8,
@@ -629,6 +629,26 @@ def test_report_rejects_single_run_cells(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["report", "--in", str(out)]) == 2
     assert "need at least 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        "s,m,10,0.0,2,1,0.5,inf",
+        "s,m,-5,0.0,2,1,0.5,100.0",
+        "s,m,10,nan,2,1,0.5,100.0",
+    ],
+    ids=["makespan-inf", "requests-negative", "mix-nan"],
+)
+def test_report_rejects_impossible_values(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    good = "s,m,10,0.0,2,0,0.5,100.0"
+    path.write_text("\n".join([",".join(CSV_HEADER), good, row, ""]))
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("report error: bad CSV row 3: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
 
 
 def test_read_csv_rejects_bad_header_and_rows(tmp_path):

@@ -41,7 +41,6 @@ from fogfed.sim import (
     SimReport,
     WorkloadSpec,
     _decision_line,
-    _exact_decision_line,
     _trace_stamp,
     aggregate,
     generate_workload,
@@ -148,6 +147,12 @@ def test_workload_spec_rejects_bad_values():
         lambda: _report(makespan=math.nan),
         lambda: _report(makespan=-1.0),
         lambda: _report(meet=math.nan),
+        lambda: _report(makespan=math.inf),
+        lambda: _report(requests=0),
+        lambda: _report(requests=-5),
+        lambda: _report(mix=math.nan),
+        lambda: _report(mix=-0.5),
+        lambda: _report(mix=1.5),
     ],
     ids=[
         "window-nan",
@@ -156,6 +161,12 @@ def test_workload_spec_rejects_bad_values():
         "makespan-nan",
         "makespan-negative",
         "meet-rate-nan",
+        "report-makespan-inf",
+        "report-requests-zero",
+        "report-requests-negative",
+        "report-mix-nan",
+        "report-mix-negative",
+        "report-mix-above-one",
     ],
 )
 def test_nan_or_negative_values_rejected(build):
@@ -743,18 +754,19 @@ def test_trace_line_edge_values(candidate):
     assert line.isascii() and line.count("\n") == 1
 
 
-def _spy_exact_encoder(monkeypatch):
-    """Record each call of the exact encoder; the calls stay unchanged."""
+def _spy_json_number(monkeypatch):
+    """Record each argument that the re-spelling of non-finite floats
+    passes to ``_json_number``; the calls stay unchanged."""
     import fogfed.sim as sim
 
     calls = []
-    exact = sim._exact_decision_line
+    respell = sim._json_number
 
-    def spy(now, request, d, stamp):
-        calls.append(d)
-        return exact(now, request, d, stamp)
+    def spy(arg):
+        calls.append(arg)
+        return respell(arg)
 
-    monkeypatch.setattr(sim, "_exact_decision_line", spy)
+    monkeypatch.setattr(sim, "_json_number", spy)
     return calls
 
 
@@ -780,18 +792,20 @@ _FINITE_CANDIDATES = (
 def test_trace_line_with_inf_or_nan_in_names_falls_back_exactly(
     monkeypatch, app, scenario, method
 ):
-    calls = _spy_exact_encoder(monkeypatch)
+    calls = _spy_json_number(monkeypatch)
     d = AllocationDecision(
         "mr", 0, 4, 2, "remote_ci_disjoint", _FINITE_CANDIDATES
     )
     _assert_line_is_reference(
         1234.5678, _trace_request(app, 3), d, scenario, method, 7
     )
-    assert calls == [d]
+    # the line is filled a second time, every argument re-spelled
+    assert calls[0] == json.dumps(app)
+    assert calls[-2:] == [_trace_stamp(scenario, method, 7), 1234.568]
 
 
 def test_trace_line_of_numpy_floats(monkeypatch):
-    calls = _spy_exact_encoder(monkeypatch)
+    calls = _spy_json_number(monkeypatch)
     f = np.float64
     candidates = (
         CandidateRecord(
@@ -823,11 +837,10 @@ def test_trace_line_of_huge_numpy_floats():
     d = AllocationDecision("mr", 0, 4, 4, "local_higher_p", candidates)
     _assert_line_is_reference(f(1e306), _trace_request(), d, "s", "m", 1)
     stamp = _trace_stamp("s", "m", 1)
-    for encode in (_decision_line, _exact_decision_line):
-        line = encode(f(1e306), _trace_request(), d, stamp)
-        assert '"mean_ms": 1e+306' in line
-        assert '"mean_ms": -1e+306' in line
-        assert line.endswith('"time_ms": 1e+306}\n')
+    line = _decision_line(f(1e306), _trace_request(), d, stamp)
+    assert '"mean_ms": 1e+306' in line
+    assert '"mean_ms": -1e+306' in line
+    assert line.endswith('"time_ms": 1e+306}\n')
 
 
 def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
@@ -836,7 +849,7 @@ def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
     import fogfed.sim as sim
     from fogfed.cli import run_sweep, scenario_from_config
 
-    calls = _spy_exact_encoder(monkeypatch)
+    calls = _spy_json_number(monkeypatch)
     monkeypatch.setattr(sim, "_LINE_TEMPLATES", {})
     shapes = set()
     methods = set()
@@ -858,7 +871,7 @@ def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
     assert shapes == {(False,) * k for k in range(1, 6)}
 
     # fig7 at load 40 runs all four allocators: the mean-based baselines'
-    # candidates have no CI, and their lines never reach the exact encoder
+    # candidates have no CI, and their lines are never filled a second time
     fig11_shapes = set(shapes)
     methods.clear()
     doc = {
