@@ -24,6 +24,7 @@ from .dist import (  # noqa: F401
     ci_bins,
     ci_disjoint,
     convolve,
+    left_sum,
     mean,
     prob_on_time,
     prob_on_time_at,
@@ -61,8 +62,16 @@ class QueueEstimate:
     waits: dict[int, float]
 
     def __post_init__(self) -> None:
+        # The values alone are checked, with no fog ids to unpack; only a
+        # map holding a bad wait is walked again by fog, to name the first.
+        inf = math.inf
+        for w in self.waits.values():
+            if not 0 <= w < inf:
+                break
+        else:
+            return
         for fog, w in self.waits.items():
-            if not 0 <= w < math.inf:
+            if not 0 <= w < inf:
                 raise ValueError(
                     f"queue wait for fog {fog} is {w}, not finite and >= 0"
                 )
@@ -105,9 +114,17 @@ class Completion:
     A queue wait only moves a PMF's grid origin, so the on-time probability,
     confidence interval and mean of the shifted PMF follow from the base's
     origin, width, CDF, CI bin indices and mean by offset arithmetic.
+
+    A wait under half a bin moves nothing (``k == 0`` in ``candidate``), and
+    most candidates see an idle fog, so the unshifted record's mean and
+    interval are computed once, by ``candidate``'s own expressions at
+    ``k = 0``, and its on-time probability once per deadline (``p0``).
     """
 
-    __slots__ = ("origin", "width", "cdf", "lo", "hi", "level", "mean")
+    __slots__ = (
+        "origin", "width", "cdf", "lo", "hi", "level", "mean",
+        "mean0", "ci0", "p0",
+    )
 
     def __init__(self, d: LatencyPmf, level: float):
         self.origin = d.origin
@@ -116,6 +133,13 @@ class Completion:
         self.lo, self.hi = ci_bins(d, level)
         self.level = level
         self.mean = d.mean
+        w = self.width
+        o = self.origin + 0 * w
+        self.mean0 = self.mean + 0 * w
+        # built through the checking constructor, and shared by every
+        # unshifted record: nothing changes an interval once built
+        self.ci0 = CiInterval(o + w * self.lo, o + w * self.hi, level)
+        self.p0: dict[float, float] = {}
 
     def candidate(
         self, fog: int, hops: int, wait: float, deadline: float
@@ -126,16 +150,23 @@ class Completion:
         shifted PMF bit for bit; its mean agrees to float rounding.
         """
         w = self.width
-        k = round(wait / w)
-        o = self.origin + k * w
-        # fog, hops, mean_ms, p, ci
-        return CandidateRecord(
-            fog,
-            hops,
-            self.mean + k * w,
-            prob_on_time_at(self.cdf, o, w, deadline),
-            CiInterval(o + w * self.lo, o + w * self.hi, self.level),
-        )
+        k = round(wait / w) if wait else 0
+        if k:
+            o = self.origin + k * w
+            # fog, hops, mean_ms, p, ci
+            return CandidateRecord(
+                fog,
+                hops,
+                self.mean + k * w,
+                prob_on_time_at(self.cdf, o, w, deadline),
+                CiInterval(o + w * self.lo, o + w * self.hi, self.level),
+            )
+        p = self.p0.get(deadline)
+        if p is None:
+            p = self.p0[deadline] = prob_on_time_at(
+                self.cdf, self.origin + 0 * w, w, deadline
+            )
+        return CandidateRecord(fog, hops, self.mean0, p, self.ci0)
 
 
 class CompletionModel:
@@ -223,7 +254,7 @@ class CompletionModel:
         key = (types, fog_id)
         hit = self._cache.get(key)
         if hit is None:
-            hit = sum(self.etc.pmf(t, fog_id).mean for t in types)
+            hit = left_sum(self.etc.pmf(t, fog_id).mean for t in types)
             self._cache[key] = hit
         return hit
 

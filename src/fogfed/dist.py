@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 
 import numpy as np
 
@@ -55,9 +56,9 @@ class NormalSpec:
 class CiInterval:
     """Central confidence interval of a latency distribution.
 
-    Slotted rather than frozen, since one is built per examined candidate
-    (see the decision records in ``fogfed.alloc``); never changed after it
-    is built.
+    Slotted rather than frozen, since one is built per candidate with a
+    queue wait (see ``fogfed.alloc.Completion``); never changed after it
+    is built, so the unshifted records of one completion share one.
     """
 
     lo: float
@@ -125,6 +126,11 @@ class LatencyPmf:
     def cdf_list(self) -> list[float]:
         """``cdf`` as a Python list, for scalar bisection and indexing."""
         return self.cdf.tolist()
+
+    @cached_property
+    def last_bin(self) -> int:
+        """Index of the last bin, for ``sample``'s clamp."""
+        return self.mass.size - 1
 
     @cached_property
     def mean(self) -> float:
@@ -411,7 +417,7 @@ def prob_on_time(d: LatencyPmf, deadline: float) -> float:
 def _quantile_bin(d: LatencyPmf, p: float) -> int:
     """Index of the first bin whose CDF reaches ``p``."""
     idx = int(np.searchsorted(d.cdf, p, side="left"))
-    return min(idx, d.mass.size - 1)
+    return min(idx, d.last_bin)
 
 
 def ci_bins(d: LatencyPmf, level: float = 0.95) -> tuple[int, int]:
@@ -430,7 +436,11 @@ def central_ci(d: LatencyPmf, level: float = 0.95) -> CiInterval:
 
 def ci_disjoint(a: CiInterval, b: CiInterval) -> bool:
     """True when the intervals do not touch; a shared endpoint is overlap."""
-    if not math.isclose(a.level, b.level, rel_tol=1e-12):
+    # equal levels, the usual case, skip the tolerance test; a NaN level
+    # equals nothing, so it still reaches the test and fails it
+    if a.level != b.level and not math.isclose(
+        a.level, b.level, rel_tol=1e-12
+    ):
         raise ValueError(
             f"cannot compare intervals at different levels: {a.level} vs {b.level}"
         )
@@ -454,8 +464,19 @@ def sample(d: LatencyPmf, rng: np.random.Generator) -> float:
     in for the generator.
     """
     idx = bisect_left(d.cdf_list, rng.random())
-    return d.origin + d.bin_width * min(idx, d.mass.size - 1)
+    last = d.last_bin
+    return d.origin + d.bin_width * (idx if idx < last else last)
 
 
 def mean(d: LatencyPmf) -> float:
     return d.mean
+
+
+def left_sum(xs) -> float:
+    """``xs`` added left to right from int 0.
+
+    This is what ``sum()`` computes on CPython 3.10 and 3.11.  From 3.12
+    ``sum()`` of floats compensates its rounding and can end in another
+    last bit, so every total that reaches a result is taken with this.
+    """
+    return reduce(add, xs, 0)

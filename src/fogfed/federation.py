@@ -187,12 +187,22 @@ class EtcMatrix:
     """(micro-service type, fog id) -> computational latency PMF.
 
     ``specs`` keeps the continuous ms-scale normal behind each entry so
-    sub-bin-width comparisons (e.g. speed monotonicity) stay exact.
+    sub-bin-width comparisons (e.g. speed monotonicity) stay exact.  The
+    sorted types and fog ids of ``entries`` are taken once, when the
+    matrix is built; nothing changes ``entries`` after that.
     """
 
     bin_width: float
     entries: dict[tuple[str, int], LatencyPmf] = field(repr=False)
     specs: dict[tuple[str, int], NormalSpec] = field(repr=False)
+    _types: tuple[str, ...] = field(init=False, repr=False)
+    _fog_ids: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        types = sorted({t for t, _ in self.entries})
+        fog_ids = sorted({f for _, f in self.entries})
+        object.__setattr__(self, "_types", tuple(types))
+        object.__setattr__(self, "_fog_ids", tuple(fog_ids))
 
     def pmf(self, mtype: str, fog_id: int) -> LatencyPmf:
         try:
@@ -207,10 +217,10 @@ class EtcMatrix:
             raise KeyError(f"no ETC entry for ({mtype!r}, {fog_id})") from None
 
     def types(self) -> list[str]:
-        return sorted({t for t, _ in self.entries})
+        return list(self._types)
 
     def fog_ids(self) -> list[int]:
-        return sorted({f for _, f in self.entries})
+        return list(self._fog_ids)
 
 
 def build_etc(

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .dist import NormalSpec
+from .dist import NormalSpec, left_sum
 
 
 @dataclass(frozen=True)
@@ -297,8 +297,8 @@ def to_monolithic(w: WorkflowSpec) -> WorkflowSpec:
     The collapsed vertex keeps the exit's output payload and is pinned if
     any component was pinned.
     """
-    mean = sum(v.work.mean for v in w.vertices)
-    var = sum(v.work.std**2 for v in w.vertices)
+    mean = left_sum(v.work.mean for v in w.vertices)
+    var = left_sum(v.work.std**2 for v in w.vertices)
     exit_ids = w.exits()
     out_mb = max(w.vertex(e).output_data for e in exit_ids)
     pinned = any(v.location_pinned for v in w.vertices)
@@ -455,6 +455,6 @@ def assign_deadlines(
         kind,
         w,
         origin_fog,
-        arrival_ms + sum(slacks.values()),
+        arrival_ms + left_sum(slacks.values()),
         slacks,
     )

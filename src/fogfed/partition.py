@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .alloc import CompletionModel
-from .dist import prob_on_time
+from .dist import left_sum, prob_on_time
 from .model import Request, WorkflowSpec
 
 _SOURCE = "__source__"
@@ -154,7 +154,7 @@ def min_cut(
             if e.src in side_s and e.dst in side_t
         )
     )
-    weight = sum(weights[e] for e in cut_edges)
+    weight = left_sum(weights[e] for e in cut_edges)
     if not math.isclose(weight, cut_value, rel_tol=1e-9, abs_tol=1e-9):
         raise RuntimeError(
             f"cut weight {weight} differs from max-flow value {cut_value}"
@@ -241,7 +241,7 @@ def baseline_least_data(w: WorkflowSpec) -> PartitionPlan:
 
     def crossing(k: int) -> float:
         head = set(order[:k])
-        return sum(
+        return left_sum(
             e.data_mb for e in w.edges if e.src in head and e.dst not in head
         )
 
@@ -274,7 +274,7 @@ def propart(
     types = w.topo_order
     root_p = prob_on_time(
         model.end_to_end(types, request.origin_fog, 0),
-        sum(slacks[v] for v in types),
+        left_sum(slacks[v] for v in types),
     )
     if root_p >= cfg.alpha or len(w.vertices) == 1:
         return PartitionPlan(
@@ -304,8 +304,12 @@ def propart(
         order = sub.topo_order
         side_s = tuple(v for v in order if v in cut.side_s)
         side_t = tuple(v for v in order if v in cut.side_t)
-        p_s = _best_prob(model, side_s, sum(slacks[v] for v in side_s))
-        p_t = _best_prob(model, side_t, sum(slacks[v] for v in side_t))
+        p_s = _best_prob(
+            model, side_s, left_sum(slacks[v] for v in side_s)
+        )
+        p_t = _best_prob(
+            model, side_t, left_sum(slacks[v] for v in side_t)
+        )
         accepted = p_s > parent_p and p_t > parent_p
         trace.append(
             SplitDecision(

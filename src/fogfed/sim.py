@@ -46,7 +46,7 @@ from .alloc import (
     allocate_no_federation,
     validate_mr_decision,
 )
-from .dist import LatencyPmf, sample
+from .dist import LatencyPmf, left_sum, sample
 from .federation import (
     EtcMatrix,
     EttMatrix,
@@ -221,6 +221,10 @@ class SimReport:
             raise ValueError(f"requests must be >= 1, got {self.requests}")
         if not 0.0 <= self.mix <= 1.0:
             raise ValueError(f"mix must be in [0, 1], got {self.mix}")
+        if not self.degree >= 0:
+            raise ValueError(f"degree must be >= 0, got {self.degree}")
+        if not self.seed >= 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.meet_rate <= 1.0:
             raise ValueError("meet rate out of range")
         if not 0 <= self.avg_makespan_ms < math.inf:
@@ -237,23 +241,30 @@ def generate_workload(
 
     Conditioned on the request count, Poisson arrival times are uniform
     order statistics, so the window is filled with sorted uniform draws.
-    The monolithic flag interleaves deterministically at the given mix.
-    Requests of one shape share the context's slacks mapping, and each
-    deadline is the arrival plus that mapping's total, as in
-    ``assign_deadlines``.
+    The monolithic flag interleaves deterministically at the given mix:
+    request ``i`` is monolithic when ``floor((i + 1) * mix)`` exceeds
+    ``floor(i * mix)``, the previous request's upper floor.  Requests of
+    one shape share the context's slacks mapping, and each deadline is the
+    arrival plus that mapping's total, as in ``assign_deadlines``.
     """
     rng = np.random.default_rng([seed, 0])
     arrivals = np.sort(rng.uniform(0.0, spec.window_ms, spec.total_requests))
     shapes = ctx.shapes
+    n_shapes = len(shapes)
+    mix = spec.mix
     origin = ctx.origin_fog
     # (kind, shape, slacks, slack total) per (template, monolithic) slot,
     # filled on first use: a context may hold a shape its ETC lacks, such
     # as a monolithic shape no request takes at mix 0
-    stamps = [None] * (2 * len(shapes))
+    stamps = [None] * (2 * n_shapes)
     requests = []
+    floor = math.floor
+    below = 0  # floor(i * mix)
     for i, arrival in enumerate(arrivals.tolist()):
-        is_mono = math.floor((i + 1) * spec.mix) > math.floor(i * spec.mix)
-        slot = 2 * (i % len(shapes)) + is_mono
+        above = floor((i + 1) * mix)
+        is_mono = above > below
+        below = above
+        slot = 2 * (i % n_shapes) + is_mono
         stamp = stamps[slot]
         if stamp is None:
             shape = shapes[slot // 2][is_mono]
@@ -262,7 +273,7 @@ def generate_workload(
                 "monolithic" if is_mono else "workflow",
                 shape,
                 slacks,
-                sum(slacks.values()),
+                left_sum(slacks.values()),
             )
         kind, shape, slacks, total = stamp
         # id, arrival_ms, kind, spec, origin_fog, workflow_deadline, slacks
@@ -278,7 +289,8 @@ def partition_deadlines(
     """Arrival-relative budget of each partition: sum of member slacks."""
     slacks = request.slacks
     return tuple(
-        sum(slacks[v.id] for v in p.vertices) for p in plan.partitions
+        left_sum(slacks[v.id] for v in p.vertices)
+        for p in plan.partitions
     )
 
 
@@ -602,7 +614,8 @@ class _Engine:
             until = self._now + dur
             busy_until[node] = until
             rt.free -= 1
-            rt.pending_mean_ms = max(0.0, rt.pending_mean_ms - inst.pmf.mean)
+            pending = rt.pending_mean_ms - inst.pmf.mean
+            rt.pending_mean_ms = pending if pending > 0.0 else 0.0
             inst.node = node
             heappush(self._heap, (until, self._seq, _EXEC_DONE, inst))
             self._seq += 1
@@ -816,10 +829,18 @@ def run(cfg: RunConfig, seed: int, trace_sink=None) -> SimReport:
 
 
 def aggregate(reports: list[SimReport]) -> list[dict]:
-    """Mean and 95% CI half-width per (scenario, method, load) cell."""
+    """Mean and 95% CI half-width per (scenario, method, load) cell.
+
+    Each run counts once: a second report of the same cell and seed is an
+    error, not another repetition.
+    """
     cells: dict[tuple, list[SimReport]] = {}
+    seen = set()
     for r in reports:
         key = (r.scenario, r.method, r.requests, r.mix, r.degree)
+        if (key, r.seed) in seen:
+            raise ValueError(f"run {key} with seed {r.seed} appears twice")
+        seen.add((key, r.seed))
         cells.setdefault(key, []).append(r)
     rows = []
     for key in sorted(cells):

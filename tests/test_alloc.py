@@ -406,6 +406,43 @@ class TestQueueEstimate:
         assert q.wait(1) == 0.0
 
 
+def _reference_queue_check(waits):
+    """The per-fog check: the message of the first bad wait, or None."""
+    for fog, w in waits.items():
+        if not 0 <= w < math.inf:
+            return f"queue wait for fog {fog} is {w}, not finite and >= 0"
+    return None
+
+
+_waits = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 0.0, -1e-300, 1e308, 5.0]
+    ),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.dictionaries(st.integers(0, 20), _waits, max_size=8))
+@example({})
+@example({0: -0.0, 1: 0.0})
+@example({0: 1e308, 1: 1e308})  # finite waits whose sum overflows
+@example({0: 1e308, 1: 1e308, 2: math.nan})
+@example({0: 1e308, 1: 1e308, 2: -1.0})
+@example({0: 3.0, 1: math.inf, 2: -math.inf})
+@example({0: -math.inf, 1: math.inf})
+@example({4: 2.0, 7: -5.0, 1: math.nan})
+def test_queue_estimate_accepts_and_rejects_as_the_per_fog_loop(waits):
+    want = _reference_queue_check(waits)
+    try:
+        q = QueueEstimate(waits)
+    except ValueError as exc:
+        assert str(exc) == want
+    else:
+        assert want is None
+        assert q.waits is waits
+
+
 def test_completion_model_caches():
     etc = _etc_points({("a", 0): 10.0, ("b", 0): 20.0})
     ett = _ett_points(["a", "b"], {1: 5.0})
@@ -460,6 +497,38 @@ def test_completion_offsets_match_shifted_pmf(d, wait, deadline, level):
     ci = rec.ci
     assert (ci.lo, ci.hi, ci.level) == (ref_ci.lo, ref_ci.hi, ref_ci.level)
     assert abs(rec.mean_ms - ref.mean) <= 1e-9
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    grid_pmfs,
+    st.floats(min_value=-100.0, max_value=30_000.0),
+    st.floats(min_value=-100.0, max_value=30_000.0),
+    st.floats(min_value=0.01, max_value=0.99),
+    st.floats(min_value=0.0, max_value=0.49),
+)
+def test_zero_wait_candidates_share_the_base_interval(
+    d, deadline, other, level, frac
+):
+    c = Completion(d, level)
+    ref_ci = central_ci(d, level)
+    # an idle fog, and a wait under half a bin, which rounds to no shift
+    for wait in (0.0, -0.0, frac * d.bin_width, 0.0):
+        for dl in (deadline, other, deadline):
+            rec = c.candidate(5, 2, wait, dl)
+            assert rec.p == prob_on_time(d, dl)
+            assert rec.ci is c.ci0
+            assert (rec.ci.lo, rec.ci.hi, rec.ci.level) == (
+                ref_ci.lo,
+                ref_ci.hi,
+                ref_ci.level,
+            )
+            assert rec.mean_ms == d.mean
+    assert set(c.p0) == {deadline, other}
+    # a shifted record gets its own interval
+    moved = c.candidate(5, 2, d.bin_width, deadline)
+    assert moved.ci is not c.ci0
+    assert moved.ci.lo == central_ci(shift(d, d.bin_width), level).lo
 
 
 # ------------------------------------------------- candidate-table oracle

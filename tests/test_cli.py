@@ -637,8 +637,16 @@ def test_report_rejects_single_run_cells(tmp_path, capsys):
         "s,m,10,0.0,2,1,0.5,inf",
         "s,m,-5,0.0,2,1,0.5,100.0",
         "s,m,10,nan,2,1,0.5,100.0",
+        "s,m,10,0.0,-3,1,0.5,100.0",
+        "s,m,10,0.0,2,-1,0.5,100.0",
     ],
-    ids=["makespan-inf", "requests-negative", "mix-nan"],
+    ids=[
+        "makespan-inf",
+        "requests-negative",
+        "mix-nan",
+        "degree-negative",
+        "seed-negative",
+    ],
 )
 def test_report_rejects_impossible_values(tmp_path, capsys, row):
     path = tmp_path / "bad.csv"
@@ -648,6 +656,19 @@ def test_report_rejects_impossible_values(tmp_path, capsys, row):
     captured = capsys.readouterr()
     assert captured.err.startswith("report error: bad CSV row 3: ")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+def test_report_rejects_a_repeated_run(tmp_path, capsys):
+    # a CSV concatenated with itself holds each run twice
+    path = tmp_path / "twice.csv"
+    rows = ["s,m,10,0.0,2,0,0.5,100.0", "s,m,10,0.0,2,1,0.7,90.0"]
+    path.write_text("\n".join([",".join(CSV_HEADER), *rows, *rows, ""]))
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        "report error: run ('s', 'm', 10, 0.0, 2) with seed 0 appears twice\n"
+    )
     assert captured.out == ""
 
 

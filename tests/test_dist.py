@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -180,6 +182,26 @@ def test_ci_disjoint_level_mismatch_rejected():
     b = CiInterval(3.0, 4.0, 0.90)
     with pytest.raises(ValueError):
         dist.ci_disjoint(a, b)
+    with pytest.raises(ValueError):
+        dist.ci_disjoint(b, a)
+    # levels within the relative tolerance compare
+    near = CiInterval(3.0, 4.0, 0.95 * (1 + 1e-13))
+    assert dist.ci_disjoint(a, near)
+
+
+def test_ci_disjoint_nan_level_rejected():
+    # the constructor refuses NaN, so set it afterwards: equal-level
+    # shortcut must not let two NaN levels through
+    a = CiInterval(1.0, 2.0, 0.95)
+    b = CiInterval(3.0, 4.0, 0.95)
+    a.level = b.level = math.nan
+    with pytest.raises(ValueError, match="different levels"):
+        dist.ci_disjoint(a, b)
+    c = CiInterval(3.0, 4.0, 0.95)
+    with pytest.raises(ValueError, match="different levels"):
+        dist.ci_disjoint(a, c)
+    with pytest.raises(ValueError, match="different levels"):
+        dist.ci_disjoint(c, a)
 
 
 def test_ci_interval_validation():
@@ -218,6 +240,34 @@ def test_sample_frequencies_match_mass():
     freq2 = draws.count(2.0) / len(draws)
     assert 0.497 <= freq2 <= 0.503
     assert set(draws) == {2.0, 4.0}
+
+
+class _Fixed:
+    """A stream returning one fixed uniform."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_sample_clamps_a_uniform_above_the_cdf_to_the_last_bin():
+    # the masses sum to 1 within MASS_TOL, so the CDF ends below 1
+    d = LatencyPmf(2.0, 4.0, np.array([0.25, 0.5, 0.25 - 5e-10]))
+    top = d.cdf_list[-1]
+    assert top < 1.0
+    assert d.last_bin == 2
+    assert d.__dict__["last_bin"] == 2  # cached like cdf_list
+    for u in (math.nextafter(top, 1.0), (top + 1.0) / 2, 1.0 - 2**-53):
+        assert dist.sample(d, _Fixed(u)) == 4.0 + 2.0 * 2
+    assert dist.sample(d, _Fixed(top)) == 8.0
+    assert dist.sample(d, _Fixed(0.0)) == 4.0
+    assert dist.sample(d, _Fixed(0.25)) == 4.0
+    assert dist.sample(d, _Fixed(math.nextafter(0.25, 1.0))) == 6.0
+    one = LatencyPmf(1.0, 3.0, np.ones(1))
+    assert one.last_bin == 0
+    assert dist.sample(one, _Fixed(1.0 - 2**-53)) == 3.0
 
 
 def test_sample_scalar_and_deterministic():
@@ -396,3 +446,32 @@ def test_prob_on_time_monotone_in_deadline(spec, d1, d2):
     d = dist.pmf_from_normal(spec, 1.0)
     lo, hi = sorted((d1, d2))
     assert dist.prob_on_time(d, lo) <= dist.prob_on_time(d, hi) + 1e-15
+
+
+# ------------------------------------------------------------------- left sum
+
+_finite_or_not = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_finite_or_not, max_size=12))
+def test_left_sum_is_reduce_add_from_int_zero(xs):
+    got = dist.left_sum(xs)
+    want = functools.reduce(operator.add, xs, 0)
+    assert type(got) is type(want)
+    if want != want:
+        assert got != got
+    else:
+        assert got == want
+        assert math.copysign(1.0, got) == math.copysign(1.0, want)
+    assert dist.left_sum(iter(xs)) == want or want != want
+
+
+def test_left_sum_does_not_compensate():
+    # left to right, 1e16 + 1.0 rounds back to 1e16; a compensated sum
+    # (math.fsum, and builtin sum from CPython 3.12) gives 1.0
+    xs = [1e16, 1.0, -1e16]
+    assert dist.left_sum(xs) == 0.0
+    assert math.fsum(xs) == 1.0
+    assert dist.left_sum([]) == 0 and type(dist.left_sum([])) is int
+    assert math.copysign(1.0, dist.left_sum([-0.0])) == 1.0

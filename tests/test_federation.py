@@ -220,6 +220,24 @@ class TestEtc:
                 d = etc.pmf(t, f)
                 assert d.origin + d.bin_width * (d.mass.size - 1) >= 0
 
+    def test_types_and_fog_ids_are_sorted_once(self):
+        pmf = point_mass(1.0, 1.0)
+        keys = [("b", 2), ("a", 0), ("b", 0), ("a", 2), ("c", 1)]
+        etc = EtcMatrix(
+            1.0,
+            {k: pmf for k in keys},
+            {k: NormalSpec(1.0, 0.0) for k in keys},
+        )
+        assert etc.types() == ["a", "b", "c"]
+        assert etc.fog_ids() == [0, 1, 2]
+        # each call hands out its own list, so a caller cannot change them
+        etc.types().append("z")
+        etc.fog_ids().clear()
+        assert (etc.types(), etc.fog_ids()) == (["a", "b", "c"], [0, 1, 2])
+        # taken at construction: the entries are not read again
+        etc.entries.clear()
+        assert (etc.types(), etc.fog_ids()) == (["a", "b", "c"], [0, 1, 2])
+
     def test_empty_profiles_rejected(self):
         topo = build_grid(1, 1, seed=0)
         with pytest.raises(ValueError):

@@ -153,6 +153,8 @@ def test_workload_spec_rejects_bad_values():
         lambda: _report(mix=math.nan),
         lambda: _report(mix=-0.5),
         lambda: _report(mix=1.5),
+        lambda: _report(degree=-3),
+        lambda: _report(seed=-1),
     ],
     ids=[
         "window-nan",
@@ -167,6 +169,8 @@ def test_workload_spec_rejects_bad_values():
         "report-mix-nan",
         "report-mix-negative",
         "report-mix-above-one",
+        "report-degree-negative",
+        "report-seed-negative",
     ],
 )
 def test_nan_or_negative_values_rejected(build):
@@ -226,6 +230,20 @@ def test_workload_mix_half_splits_evenly(app_context):
         # the context's own shapes, so the plan cache keys on their ids
         shapes = app_context.shapes[r.id % 4]
         assert r.spec is shapes[r.kind == "monolithic"]
+
+
+@pytest.mark.parametrize("mix", [0.0, 0.1, 1 / 3, 0.5, 1.0])
+def test_workload_monolithic_pattern_is_the_two_floor_formula(
+    app_context, mix
+):
+    # the carried floor of the previous request equals floor(i * mix)
+    reqs = generate_workload(
+        WorkloadSpec(60, mix=mix, window_ms=1000.0), seed=4, ctx=app_context
+    )
+    want = [
+        math.floor((i + 1) * mix) > math.floor(i * mix) for i in range(60)
+    ]
+    assert [r.kind == "monolithic" for r in reqs] == want
 
 
 def test_workload_mix_one_all_monolithic(app_context):
@@ -1446,6 +1464,27 @@ def test_aggregate_requires_two_runs_per_cell():
         aggregate([_report(seed=0)])
     with pytest.raises(ValueError):
         aggregate([_report(seed=0), _report(seed=1, requests=20)])
+
+
+def test_aggregate_rejects_a_repeated_run():
+    # the same cell and seed twice is one run counted twice, which would
+    # report n 2 with a CI of 0.0
+    with pytest.raises(ValueError, match="seed 0 appears twice"):
+        aggregate([_report(seed=0), _report(seed=0)])
+    with pytest.raises(ValueError, match="appears twice"):
+        aggregate(
+            [_report(seed=0), _report(seed=1), _report(seed=0, meet=0.9)]
+        )
+    # one seed in two cells is two runs
+    rows = aggregate(
+        [
+            _report(seed=0),
+            _report(seed=1),
+            _report(seed=0, degree=3),
+            _report(seed=1, degree=3),
+        ]
+    )
+    assert [r["n"] for r in rows] == [2, 2]
 
 
 def test_aggregate_groups_and_sorts_cells():

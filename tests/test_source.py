@@ -34,14 +34,17 @@ HOT_PATH = {
         "_decide_mcc",
         "_decide_nofed",
         "_report",
+        "generate_workload",
     ),
     "alloc.py": (
+        "candidate",
         "allocate_mr",
         "allocate_mect",
         "allocate_mcc",
         "allocate_no_federation",
         "validate_mr_decision",
     ),
+    "dist.py": ("sample",),
 }
 COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
 
@@ -61,6 +64,20 @@ def test_hot_path_builds_no_comprehension():
                 ]
     # a renamed function must be renamed here too, not silently unchecked
     assert seen == {(n, f) for n, funcs in HOT_PATH.items() for f in funcs}
+    assert found == []
+
+
+def test_package_never_calls_builtin_sum():
+    # from CPython 3.12 ``sum()`` of floats compensates its rounding, so
+    # totals that reach a result go through ``dist.left_sum``
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "sum"
+    ]
     assert found == []
 
 
