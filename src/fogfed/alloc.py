@@ -26,6 +26,7 @@ from .dist import (  # noqa: F401
     convolve,
     left_sum,
     mean,
+    memo_convolve,
     prob_on_time,
     prob_on_time_at,
     shift,
@@ -193,11 +194,22 @@ class CompletionModel:
     tables are keyed without the topology, so a model serves one: the
     first table binds it, and a table asked for under another topology
     raises ``ValueError``.
+
+    Every convolution goes through ``memo``, a sweep memo (see
+    ``fogfed.dist``): the models of one sweep's contexts share it, so a
+    chain that several contexts build from the same PMFs is convolved
+    once.  Without one, the model keeps a private memo.
     """
 
-    def __init__(self, etc: EtcMatrix, ett: "EttMatrix | None" = None):
+    def __init__(
+        self,
+        etc: EtcMatrix,
+        ett: "EttMatrix | None" = None,
+        memo: "dict | None" = None,
+    ):
         self.etc = etc
         self.ett = ett
+        self._memo = {} if memo is None else memo
         self._cache: dict = {}
         self._topo: "FederationTopology | None" = None
 
@@ -227,15 +239,20 @@ class CompletionModel:
                 raise ValueError(
                     "transfer matrix required for remote estimates"
                 )
-            hit = convolve(
-                self.end_to_end(types, fog_id, 0), self.ett.pmf(types[0], hops)
+            hit = memo_convolve(
+                self._memo,
+                self.end_to_end(types, fog_id, 0),
+                self.ett.pmf(types[0], hops),
+                convolve,
             )
         elif len(types) == 1:
             hit = self.etc.pmf(types[0], fog_id)
         else:
-            hit = convolve(
+            hit = memo_convolve(
+                self._memo,
                 self.end_to_end(types[:-1], fog_id, 0),
                 self.etc.pmf(types[-1], fog_id),
+                convolve,
             )
         self._cache[key] = hit
         return hit

@@ -320,13 +320,18 @@ def run_seed(scenario: Scenario, method: str, load: int, degree: int,
 
 
 def _build_context(
-    scenario: Scenario, degree: int | None, binned: "dict | None" = None
+    scenario: Scenario, degree: int | None, memo: "dict | None" = None
 ) -> Context:
     """The run context of one (possibly per-degree) cell.
 
-    ``binned`` is ``build_etc``'s memo of binned normals; cells of one
-    sweep share it.
+    ``memo`` is the sweep memo (see ``fogfed.dist``) the ETC, ETT and
+    completion PMFs are derived through; cells of one sweep share it, and
+    a context built without one gets a private one.  The tables cover the
+    shapes the scenario's ``mix`` can draw: workflow shapes below mix 1,
+    monolithic shapes above mix 0.
     """
+    if memo is None:
+        memo = {}
     if degree is None:
         topo = build_grid(
             scenario.width,
@@ -354,21 +359,25 @@ def _build_context(
         builtin_app(n, pin_entry=scenario.pin_entry) for n in APP_NAMES
     )
     scale = scenario.reference_mips / 2000.0
+    shapes = []
+    if scenario.mix < 1:
+        shapes.extend(templates)
+    if scenario.mix > 0:
+        shapes.extend(map(to_monolithic, templates))
     profiles = {}
     data = {}
-    for t in templates:
-        for shape in (t, to_monolithic(t)):
-            for v in shape.vertices:
-                profiles[v.id] = v.work.scaled(scale)
-            data.update(incoming_data_mb(shape))
-    etc = build_etc(topo, profiles, scenario.bin_width_ms, binned)
+    for shape in shapes:
+        for v in shape.vertices:
+            profiles[v.id] = v.work.scaled(scale)
+        data.update(incoming_data_mb(shape))
+    etc = build_etc(topo, profiles, scenario.bin_width_ms, memo)
     link = LinkProfile(
         scenario.bandwidth_mbps,
         NormalSpec(scenario.hop_mean_ms, scenario.hop_std_ms),
     )
-    ett = build_ett(topo, link, data, scenario.bin_width_ms)
+    ett = build_ett(topo, link, data, scenario.bin_width_ms, memo)
     policy = DeadlinePolicy(scenario.epsilon_ms, scenario.comm_ms)
-    return Context(topo, etc, ett, templates, policy, origin)
+    return Context(topo, etc, ett, templates, policy, origin, memo)
 
 
 def _cell_config(scenario: Scenario, ctx: Context, method: str,
@@ -406,13 +415,14 @@ class _Runner:
         self.scenario = scenario
         self.trace = trace
         self._contexts: dict = {}
-        # (NormalSpec, bin width) -> LatencyPmf, shared by the contexts
-        self._binned: dict = {}
+        # the sweep memo of the contexts' PMFs (see fogfed.dist); it is
+        # the runner's, not the process's, so no sweep reads another's
+        self._memo: dict = {}
 
     def context(self, degree: int | None) -> Context:
         ctx = self._contexts.get(degree)
         if ctx is None:
-            ctx = _build_context(self.scenario, degree, self._binned)
+            ctx = _build_context(self.scenario, degree, self._memo)
             self._contexts[degree] = ctx
         return ctx
 

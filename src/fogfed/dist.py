@@ -72,12 +72,20 @@ class CiInterval:
             raise ValueError(f"CI bounds out of order: [{self.lo}, {self.hi}]")
 
 
+def _check_width(bin_width: float) -> None:
+    # written so that a NaN fails it
+    if not 0 < bin_width < math.inf:
+        raise ValueError(
+            f"bin_width must be positive and finite, got {bin_width}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class LatencyPmf:
     """Probability mass function over fixed-width latency bins.
 
-    bin_width: bin width in ms, > 0.
-    origin:    centre of the first bin in ms, >= 0.
+    bin_width: bin width in ms, > 0 and finite.
+    origin:    centre of the first bin in ms, >= 0 and finite.
     mass:      1-D array of bin probabilities, non-negative, summing to 1.
     """
 
@@ -86,10 +94,12 @@ class LatencyPmf:
     mass: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.bin_width > 0:
-            raise ValueError(f"bin_width must be positive, got {self.bin_width}")
-        if not self.origin >= 0:
-            raise ValueError(f"origin must be non-negative, got {self.origin}")
+        _check_width(self.bin_width)
+        # written so that a NaN fails it
+        if not 0 <= self.origin < math.inf:
+            raise ValueError(
+                f"origin must be non-negative and finite, got {self.origin}"
+            )
         arr = self.mass
         if not isinstance(arr, np.ndarray) or arr.dtype != np.float64:
             arr = np.asarray(arr, dtype=np.float64)
@@ -145,10 +155,12 @@ class LatencyPmf:
 
 def point_mass(value: float, bin_width: float) -> LatencyPmf:
     """Degenerate distribution at ``value`` snapped to the bin grid."""
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    if value < 0:
-        raise ValueError(f"point mass value must be non-negative, got {value}")
+    _check_width(bin_width)
+    # written so that a NaN fails it
+    if not 0 <= value < math.inf:
+        raise ValueError(
+            f"point mass value must be non-negative and finite, got {value}"
+        )
     k = max(0, round(value / bin_width))
     return LatencyPmf(bin_width, k * bin_width, np.ones(1))
 
@@ -305,10 +317,12 @@ def pmfs_from_normal(
     each result equals its one-spec counterpart array for array, wherever
     the pass boundaries fall.
     """
-    if not bin_width > 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    if not truncation > 0:
-        raise ValueError(f"truncation must be positive, got {truncation}")
+    _check_width(bin_width)
+    # written so that a NaN fails it
+    if not 0 < truncation < math.inf:
+        raise ValueError(
+            f"truncation must be positive and finite, got {truncation}"
+        )
     out: list = [None] * len(specs)
     binned = []  # (index into specs, first bin, edge count)
     for i, spec in enumerate(specs):
@@ -449,8 +463,11 @@ def ci_disjoint(a: CiInterval, b: CiInterval) -> bool:
 
 def shift(d: LatencyPmf, offset: float) -> LatencyPmf:
     """Add a deterministic delay; the offset snaps to the bin grid."""
-    if offset < 0:
-        raise ValueError(f"shift offset must be non-negative, got {offset}")
+    # written so that a NaN fails it
+    if not 0 <= offset < math.inf:
+        raise ValueError(
+            f"shift offset must be non-negative and finite, got {offset}"
+        )
     k = round(offset / d.bin_width)
     if k == 0:
         return d
@@ -470,6 +487,41 @@ def sample(d: LatencyPmf, rng: np.random.Generator) -> float:
 
 def mean(d: LatencyPmf) -> float:
     return d.mean
+
+
+# ----------------------------------------------------------------- sweep memo
+#
+# A sweep memo is a plain dict that the contexts of one sweep share, so
+# each PMF the sweep derives is built, and its CDF cached, once.  It holds
+# binned normals under ``(NormalSpec, bin_width)`` (see
+# ``federation.build_etc``), and convolutions and grid shifts under the
+# identities of their operands (and a shift's offset).  Identity is an exact key because equal
+# operands are already one object: binned normals are, and so is every
+# PMF derived from them through the memo.  Each entry holds its operands,
+# so no id is reused while the memo lives.  Nothing but the sweep's
+# contexts refers to a memo, so it goes when they do.
+
+
+def memo_convolve(memo: dict, a: LatencyPmf, b: LatencyPmf, op) -> LatencyPmf:
+    """``op(a, b)``, held under ``("convolve", id(a), id(b))``.
+
+    ``op`` is ``convolve`` as the caller's module names it, so a miss
+    convolves through that name and a wrapper there counts real work.
+    """
+    key = ("convolve", id(a), id(b))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (a, b, op(a, b))
+    return hit[2]
+
+
+def memo_shift(memo: dict, d: LatencyPmf, offset: float) -> LatencyPmf:
+    """``shift(d, offset)``, held under ``("shift", id(d), offset)``."""
+    key = ("shift", id(d), offset)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (d, shift(d, offset))
+    return hit[1]
 
 
 def left_sum(xs) -> float:

@@ -9,6 +9,7 @@ turns payload sizes into hop-indexed transfer latency PMFs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,10 +18,10 @@ from .dist import (
     LatencyPmf,
     NormalSpec,
     convolve,
-    pmf_from_normal,
+    memo_convolve,
+    memo_shift,
     pmfs_from_normal,
     point_mass,
-    shift,
 )
 
 MIPS_LO = 1500.0
@@ -223,37 +224,44 @@ class EtcMatrix:
         return list(self._fog_ids)
 
 
+def _binned(
+    memo: dict, specs: "list[NormalSpec]", bin_width: float
+) -> list[LatencyPmf]:
+    """The PMF of each spec, held in ``memo`` under ``(spec, bin_width)``.
+
+    Only the misses are binned, in one ``pmfs_from_normal`` pass, which
+    gives each spec the same array as binning it alone.
+    """
+    misses = list(
+        dict.fromkeys(s for s in specs if (s, bin_width) not in memo)
+    )
+    for spec, pmf in zip(misses, pmfs_from_normal(misses, bin_width)):
+        memo[(spec, bin_width)] = pmf
+    return [memo[(s, bin_width)] for s in specs]
+
+
 def build_etc(
     topo: FederationTopology,
     profiles: dict[str, NormalSpec],
     bin_width: float = 1.0,
-    binned: "dict[tuple[NormalSpec, float], LatencyPmf] | None" = None,
+    memo: "dict | None" = None,
 ) -> EtcMatrix:
     """Work in MI divided by fog speed gives latency in ms.
 
-    ``binned`` maps ``(NormalSpec, bin_width)`` to its PMF.  Pass one dict
-    to every context of a sweep and each distinct normal is binned once.
-    Only the misses are binned, in one ``pmfs_from_normal`` pass, which
-    gives each spec the same array as binning it alone.
+    ``memo`` is a sweep memo (see ``fogfed.dist``).  Pass one dict to
+    every context of a sweep and each distinct normal is binned once.
     """
     if not profiles:
         raise ValueError("profiles must be non-empty")
-    if binned is None:
-        binned = {}
     specs = {
         (mtype, f.id): work.scaled(1000.0 / f.node_mips)
         for mtype, work in profiles.items()
         for f in topo.fogs
     }
-    misses = list(
-        dict.fromkeys(
-            s for s in specs.values() if (s, bin_width) not in binned
-        )
-    )
-    for spec, pmf in zip(misses, pmfs_from_normal(misses, bin_width)):
-        binned[(spec, bin_width)] = pmf
-    entries = {key: binned[(s, bin_width)] for key, s in specs.items()}
-    return EtcMatrix(bin_width, entries, specs)
+    if memo is None:
+        memo = {}
+    pmfs = _binned(memo, list(specs.values()), bin_width)
+    return EtcMatrix(bin_width, dict(zip(specs, pmfs)), specs)
 
 
 def mean_exec_profile(etc: EtcMatrix, mtype: str) -> float:
@@ -299,26 +307,35 @@ def build_ett(
     link: LinkProfile,
     data_mb: dict[str, float],
     bin_width: float = 1.0,
+    memo: "dict | None" = None,
 ) -> EttMatrix:
     """Hop-indexed transfer latencies.
 
     Hop 0 is a point mass at 0 (local handoff).  Each hop adds one draw of
     the link latency plus the payload serialization time.  The sum of the
     link draws does not depend on the type, so each hop count's chain is
-    convolved once and shifted per type.
+    convolved once and shifted per type.  The hop normal, the chains and
+    the shifts go through ``memo``, a sweep memo (see ``fogfed.dist``), so
+    the contexts of one sweep share every one they have in common.
     """
+    if memo is None:
+        memo = {}
     max_hops = (topo.width - 1) + (topo.height - 1)
-    hop_pmf = pmf_from_normal(link.per_hop_latency, bin_width)
+    hop_pmf = _binned(memo, [link.per_hop_latency], bin_width)[0]
     chains = [hop_pmf] if max_hops else []
     while len(chains) < max_hops:
-        chains.append(convolve(chains[-1], hop_pmf))
+        chains.append(memo_convolve(memo, chains[-1], hop_pmf, convolve))
     local = point_mass(0.0, bin_width)
     entries: dict[tuple[str, int], LatencyPmf] = {}
     for mtype, mb in data_mb.items():
-        if mb < 0:
-            raise ValueError(f"negative payload for {mtype!r}")
+        # written so that a NaN fails it
+        if not 0 <= mb < math.inf:
+            raise ValueError(
+                f"payload for {mtype!r} must be non-negative and finite, "
+                f"got {mb}"
+            )
         per_hop_transfer = link.transfer_ms(mb)
         entries[(mtype, 0)] = local
         for h, chain in enumerate(chains, start=1):
-            entries[(mtype, h)] = shift(chain, h * per_hop_transfer)
+            entries[(mtype, h)] = memo_shift(memo, chain, h * per_hop_transfer)
     return EttMatrix(bin_width, max_hops, entries)

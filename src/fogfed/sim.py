@@ -128,7 +128,9 @@ class Context:
     ``{(id(spec), origin): (spec, plan, wiring)}``; plans depend only on
     load-independent inputs, and holding the spec keeps its id unique.
     ``slacks`` maps ``id(spec)`` to ``(spec, StageSlacks)`` the same way;
-    see ``shape_slacks``.
+    see ``shape_slacks``.  ``memo`` is the sweep memo (see
+    ``fogfed.dist``) the completion model convolves through; a context
+    built without one gets a private one.
     """
 
     topo: FederationTopology
@@ -137,6 +139,7 @@ class Context:
     templates: tuple[WorkflowSpec, ...]
     policy: DeadlinePolicy
     origin_fog: int = 0
+    memo: "dict | None" = field(default=None, repr=False)
     model: CompletionModel = field(init=False)
     mean_exec: dict[str, float] = field(init=False)
     shapes: tuple[tuple[WorkflowSpec, WorkflowSpec], ...] = field(init=False)
@@ -149,8 +152,10 @@ class Context:
         if not self.templates:
             raise ValueError("need at least one application template")
         fogs = self.topo.fog_ids()
+        memo = {} if self.memo is None else self.memo
         derived = {
-            "model": CompletionModel(self.etc, self.ett),
+            "memo": memo,
+            "model": CompletionModel(self.etc, self.ett, memo),
             "mean_exec": {
                 t: mean_exec_profile(self.etc, t) for t in self.etc.types()
             },

@@ -3,6 +3,7 @@ import json
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from fogfed.cli import (
     sweep_tasks,
     write_csv,
 )
+from fogfed.dist import LatencyPmf, NormalSpec, convolve
 
 
 def tiny_config(**overrides):
@@ -595,7 +597,9 @@ def test_shared_binning_memo_gives_fresh_contexts(monkeypatch):
         for ctx in fresh
         for spec in ctx.etc.specs.values()
     }
-    assert set(memo) == distinct
+    # the ETT's hop normal is binned through the memo too
+    distinct.add((NormalSpec(s.hop_mean_ms, s.hop_std_ms), s.bin_width_ms))
+    assert {k for k in memo if isinstance(k[0], NormalSpec)} == distinct
     # each distinct normal binned once, though the contexts repeat many
     assert len(binned_specs) == len(distinct)
     assert len(distinct) < sum(len(ctx.etc.entries) for ctx in fresh)
@@ -606,6 +610,102 @@ def test_shared_binning_memo_gives_fresh_contexts(monkeypatch):
             want = b.etc.entries[key]
             assert (pmf.bin_width, pmf.origin) == (want.bin_width, want.origin)
             assert np.array_equal(pmf.mass, want.mass)
+
+
+def _same_pmf(a, b):
+    return (a.bin_width, a.origin) == (b.bin_width, b.origin) and (
+        np.array_equal(a.mass, b.mass)
+    )
+
+
+def test_shared_memo_contexts_equal_private_builds():
+    s = scenario_from_config({"suite": "fig11_scaling_workflows"})
+    memo: dict = {}
+    shared = [_build_context(s, d, memo) for d in s.degrees]
+    private = [_build_context(s, d) for d in s.degrees]
+    for a, b in zip(shared, private):
+        assert a.memo is memo and b.memo is not memo
+        for table in ("etc", "ett"):
+            got, want = getattr(a, table).entries, getattr(b, table).entries
+            assert list(got) == list(want)
+            assert all(_same_pmf(got[k], want[k]) for k in got), table
+        # each template's chain on every fog, at every hop count of the
+        # grid, against convolving it anew
+        for w in a.templates:
+            types = w.topo_order
+            for fog in a.topo.fog_ids():
+                chain = reduce(convolve, (a.etc.pmf(t, fog) for t in types))
+                for hops in range(a.ett.max_hops + 1):
+                    want = chain
+                    if hops:
+                        want = convolve(chain, a.ett.pmf(types[0], hops))
+                    for ctx in (a, b):
+                        got = ctx.model.end_to_end(types, fog, hops)
+                        assert _same_pmf(got, want), (types, fog, hops)
+        for key, pmf in a.model._cache.items():
+            assert _same_pmf(pmf, b.model._cache[key]), key
+    # the gateways share one rating, so their chains are one object
+    fire = shared[0].templates[0].topo_order
+    one, four = (
+        ctx.model.end_to_end(fire, ctx.origin_fog, 1)
+        for ctx in (shared[0], shared[-1])
+    )
+    assert one is four
+
+
+def test_consecutive_sweeps_share_no_pmf(monkeypatch):
+    import fogfed.cli as cli
+
+    built = []
+    build = cli._build_context
+
+    def spy(*args):
+        ctx = build(*args)
+        built.append(ctx)
+        return ctx
+
+    monkeypatch.setattr(cli, "_build_context", spy)
+    s = scenario_from_config(
+        {"suite": "fig11_scaling_workflows", "loads": [4], "repetitions": 1}
+    )
+    held = []
+    for _ in range(2):
+        built.clear()
+        run_sweep(s)
+        assert len(built) == len(s.degrees)
+        assert len({id(ctx.memo) for ctx in built}) == 1
+        pmfs = [
+            pmf
+            for ctx in built
+            for table in (ctx.etc.entries, ctx.ett.entries, ctx.model._cache)
+            for pmf in table.values()
+            if isinstance(pmf, LatencyPmf)
+        ]
+        for value in built[0].memo.values():
+            pmfs.extend(value if isinstance(value, tuple) else (value,))
+        held.append((list(built), pmfs))
+    (first, a), (second, b) = held
+    assert first[0].memo is not second[0].memo
+    assert not {id(p) for p in a} & {id(p) for p in b}
+    assert not {id(p.mass) for p in a} & {id(p.mass) for p in b}
+
+
+@pytest.mark.parametrize(
+    "suite,kinds",
+    [
+        ("fig5_partitioning", (0,)),
+        ("fig7_alloc_monolithic", (1,)),
+        ("fig8_mixed", (0, 1)),
+    ],
+)
+def test_context_tables_hold_the_shapes_the_mix_draws(suite, kinds):
+    s = scenario_from_config({"suite": suite})
+    ctx = _build_context(s, None)
+    drawn = {
+        v.id for pair in ctx.shapes for k in kinds for v in pair[k].vertices
+    }
+    assert set(ctx.etc.types()) == drawn
+    assert {t for t, _ in ctx.ett.entries} == drawn
 
 
 def test_report_round_trip(tmp_path, capsys):

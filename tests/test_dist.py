@@ -47,10 +47,12 @@ def test_normal_spec_rejects_bad_moments():
 
 
 @pytest.mark.parametrize(
-    "origin", [math.nan, -1.0, -math.inf], ids=["nan", "negative", "-inf"]
+    "origin",
+    [math.nan, -1.0, -math.inf, math.inf],
+    ids=["nan", "negative", "-inf", "inf"],
 )
 def test_pmf_rejects_nan_or_negative_origin(origin):
-    with pytest.raises(ValueError, match="origin"):
+    with pytest.raises(ValueError, match=f"origin .* got {origin}$"):
         LatencyPmf(1.0, origin, [1.0])
 
 
@@ -85,6 +87,15 @@ def test_invalid_parameters_raise():
         dist.pmf_from_normal(spec, -1.0)
     with pytest.raises(ValueError):
         dist.pmf_from_normal(spec, 1.0, truncation=0.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match=f"bin_width .* got {bad}$"):
+            dist.pmfs_from_normal([spec], bad)
+        with pytest.raises(ValueError, match=f"truncation .* got {bad}$"):
+            dist.pmfs_from_normal([spec], 1.0, truncation=bad)
+        with pytest.raises(ValueError, match=f"value .* got {bad}$"):
+            dist.point_mass(bad, 1.0)
+        with pytest.raises(ValueError, match=f"bin_width .* got {bad}$"):
+            dist.point_mass(1.0, bad)
 
 
 def test_mass_validation():
@@ -94,6 +105,9 @@ def test_mass_validation():
         LatencyPmf(1.0, -1.0, np.array([1.0]))
     with pytest.raises(ValueError):
         LatencyPmf(1.0, 0.0, np.array([1.5, -0.5]))
+    for bad in (math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError, match=f"bin_width .* got {bad}$"):
+            LatencyPmf(bad, 0.0, np.array([1.0]))
 
 
 # ---------------------------------------------------------------- convolution
@@ -220,8 +234,9 @@ def test_shift_rounds_to_grid():
     assert s.origin == d.origin + 2.0
     assert s.mass is d.mass  # no copy
     assert dist.shift(d, 0.0) is d
-    with pytest.raises(ValueError):
-        dist.shift(d, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"offset .* got {bad}$"):
+            dist.shift(d, bad)
 
 
 def test_shift_moves_mean_exactly():

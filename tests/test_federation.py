@@ -329,8 +329,9 @@ class TestEtt:
 
     def test_negative_payload_rejected(self):
         topo = build_grid(2, 1, seed=1)
-        with pytest.raises(ValueError):
-            build_ett(topo, LinkProfile(), {"t": -1.0}, bin_width=1.0)
+        for mb in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"'t' .* got {mb}$"):
+                build_ett(topo, LinkProfile(), {"t": mb}, bin_width=1.0)
 
     def test_missing_entry(self):
         topo = build_grid(2, 1, seed=1)
@@ -409,9 +410,32 @@ def test_fig11_contexts_convolve_each_hop_chain_once(monkeypatch):
     assert len(calls) == 0 + 1 + 2 + 3
     assert len(built) == len(s.degrees)
     for args, ett in built:
-        expected = reference_ett_entries(*args)
+        expected = reference_ett_entries(*args[:4])
         assert ett.entries.keys() == expected.keys()
         for key, ref in expected.items():
             got = ett.entries[key]
             assert (got.origin, got.bin_width) == (ref.origin, ref.bin_width)
             assert np.array_equal(got.mass, ref.mass), key
+
+
+def test_fig11_contexts_share_hop_chains_through_one_memo(monkeypatch):
+    import fogfed.cli as cli
+
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return convolve(a, b)
+
+    monkeypatch.setattr(federation, "convolve", counting)
+    s = cli.scenario_from_config({"suite": "fig11_scaling_workflows"})
+    memo: dict = {}
+    shared = [cli._build_context(s, d, memo) for d in s.degrees]
+    # the 4-hop grid's chains hold the shorter grids' ones
+    assert len(calls) == 3
+    widest = shared[-1].ett
+    for ctx in shared[:-1]:
+        assert ctx.ett.entries.keys() <= widest.entries.keys()
+        for key, pmf in ctx.ett.entries.items():
+            if key[1]:
+                assert pmf is widest.entries[key], key
