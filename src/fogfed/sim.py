@@ -18,10 +18,11 @@ exogenous stream known in advance, so they are merged in time order from
 the sorted request list instead of sitting in the event heap, which then
 holds only the few in-flight transfers and executions.  Each request's
 instances are linked to their successors when it arrives, and each carries
-its execution PMF, so no event looks an instance or a PMF up again.  Hop
-counts come from the context's table, heap pushes are written where they
-happen, and the per-arrival and per-decision code builds its lists in plain
-loops: before CPython 3.12 every comprehension is a nested function call.
+its execution PMF and its fog's runtime, so no event looks an instance, a
+PMF or a fog up again.  Hop counts come from the context's table, heap
+pushes are written where they happen, and the per-arrival and per-decision
+code builds its lists in plain loops: before CPython 3.12 every
+comprehension is a nested function call.
 """
 
 from __future__ import annotations
@@ -250,7 +251,9 @@ def generate_workload(
     request ``i`` is monolithic when ``floor((i + 1) * mix)`` exceeds
     ``floor(i * mix)``, the previous request's upper floor.  Requests of
     one shape share the context's slacks mapping, and each deadline is the
-    arrival plus that mapping's total, as in ``assign_deadlines``.
+    arrival plus that mapping's total, as in ``assign_deadlines``.  A
+    drawn shape whose types the context's ETC lacks (a context built for
+    another mix) raises ``ValueError`` naming the first of them.
     """
     rng = np.random.default_rng([seed, 0])
     arrivals = np.sort(rng.uniform(0.0, spec.window_ms, spec.total_requests))
@@ -273,9 +276,16 @@ def generate_workload(
         stamp = stamps[slot]
         if stamp is None:
             shape = shapes[slot // 2][is_mono]
+            kind = "monolithic" if is_mono else "workflow"
+            for v in shape.vertices:
+                if v.id not in ctx.mean_exec:
+                    raise ValueError(
+                        f"workload mix {mix} draws {kind} shapes, but the "
+                        f"context's ETC has no entry for {v.id!r}"
+                    )
             slacks = ctx.shape_slacks(shape)
             stamp = stamps[slot] = (
-                "monolithic" if is_mono else "workflow",
+                kind,
                 shape,
                 slacks,
                 left_sum(slacks.values()),
@@ -336,7 +346,7 @@ def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
 
 @dataclass(slots=True, eq=False)
 class _Instance:
-    """One vertex of one request, placed on ``fog``.
+    """One vertex of one request, placed on ``fog``, whose runtime is ``rt``.
 
     ``successors`` are the instances its output feeds, so links point
     forward along the workflow's edges only and a finished request's
@@ -349,6 +359,7 @@ class _Instance:
     fog: int
     pmf: LatencyPmf
     missing: int
+    rt: _FogRuntime
     successors: Sequence[_Instance] = ()
     node: int = -1
 
@@ -368,10 +379,11 @@ class _Engine:
         self.uniforms = _Uniforms(np.random.default_rng([seed, 1]))
         self.trace = trace_sink
         self._stamp = _trace_stamp(cfg.scenario, cfg.method, seed)
-        self.runtimes = {
-            f.id: _FogRuntime([None] * f.node_count, f.node_count)
+        # indexed by fog id: a topology's ``fogs[i].id`` is ``i``
+        self.runtimes = [
+            _FogRuntime([None] * f.node_count, f.node_count)
             for f in self.ctx.topo.fogs
-        }
+        ]
         self._plans = self.ctx.plans.setdefault(cfg.partition_cfg, {})
         # plan keys validated in this run: plan_violations counts per run
         self._validated: set = set()
@@ -573,11 +585,12 @@ class _Engine:
             fog = decisions[part_idx].chosen
             entry_needs_transfer = n_preds == 0 and fog != origin
             pmf = etc.pmf(vid, fog)
+            rt = runtimes[fog]
             inst = _Instance(
-                request, vid, fog, pmf, n_preds + entry_needs_transfer
+                request, vid, fog, pmf, n_preds + entry_needs_transfer, rt
             )
             insts.append(inst)
-            runtimes[fog].pending_mean_ms += pmf.mean
+            rt.pending_mean_ms += pmf.mean
             if entry_needs_transfer:
                 dur = sample(ctx.ett.pmf(vid, hops[fog]), self.uniforms)
                 heappush(
@@ -585,7 +598,9 @@ class _Engine:
                 )
                 self._seq += 1
             elif n_preds == 0:
-                self._enqueue(inst)
+                rt.queue.append(inst)
+                if rt.free:
+                    self._dispatch(rt)
         # no event of this request has run yet, so linking last is safe
         for i, succ in wiring.links:
             insts[i].successors = list(map(insts.__getitem__, succ))
@@ -593,22 +608,13 @@ class _Engine:
     def _on_transfer(self, inst: _Instance) -> None:
         inst.missing -= 1
         if inst.missing == 0:
-            self._enqueue(inst)
+            rt = inst.rt
+            rt.queue.append(inst)
+            if rt.free:
+                self._dispatch(rt)
 
-    def _enqueue(self, inst: _Instance) -> None:
-        if inst.missing != 0:
-            raise RuntimeError(
-                f"instance {inst.vertex_id!r} of request {inst.request.id} "
-                f"enqueued with {inst.missing} inputs missing"
-            )
-        rt = self.runtimes[inst.fog]
-        rt.queue.append(inst)
-        if rt.free:
-            self._dispatch(inst.fog)
-
-    def _dispatch(self, fog: int) -> None:
+    def _dispatch(self, rt: _FogRuntime) -> None:
         """Start queued instances on free nodes; a no-op when either is none."""
-        rt = self.runtimes[fog]
         busy_until = rt.busy_until
         queue = rt.queue
         while queue and rt.free:
@@ -626,8 +632,7 @@ class _Engine:
             self._seq += 1
 
     def _on_exec_done(self, inst: _Instance) -> None:
-        fog = inst.fog
-        rt = self.runtimes[fog]
+        rt = inst.rt
         rt.busy_until[inst.node] = None
         rt.free += 1
         if not inst.successors:
@@ -636,23 +641,25 @@ class _Engine:
             if self._exits_left[rid] == 0:
                 self._completions[rid] = self._now
         for nxt in inst.successors:
-            if nxt.fog == fog:
+            if nxt.rt is rt:
                 nxt.missing -= 1
                 if nxt.missing == 0:
-                    self._enqueue(nxt)
+                    rt.queue.append(nxt)
+                    if rt.free:
+                        self._dispatch(rt)
             else:
                 ctx = self.ctx
                 dur = sample(
-                    ctx.ett.pmf(nxt.vertex_id, ctx.hops[fog][nxt.fog]),
+                    ctx.ett.pmf(nxt.vertex_id, ctx.hops[inst.fog][nxt.fog]),
                     self.uniforms,
                 )
                 heappush(
                     self._heap, (self._now + dur, self._seq, _TRANSFER, nxt)
                 )
                 self._seq += 1
-        # a same-fog successor's ``_enqueue`` may have taken the freed node
+        # a same-fog successor's dispatch may have taken the freed node
         if rt.queue and rt.free:
-            self._dispatch(fog)
+            self._dispatch(rt)
 
     # ------------------------------------------------------------------ run
 
@@ -780,7 +787,10 @@ def _decision_line(
     ``_json_number``.
     """
     cands = d.candidates
-    shape = tuple([r.ci is None for r in cands])
+    shape = []
+    for r in cands:
+        shape.append(r.ci is None)
+    shape = tuple(shape)
     template = _LINE_TEMPLATES.get(shape)
     if template is None:
         template = _LINE_TEMPLATES[shape] = _line_template(shape)

@@ -183,6 +183,62 @@ def test_run_config_rejects_unknown_allocator():
         make_cfg([unit_app()], alloc="greedy")
 
 
+def _readme_config(mix):
+    """README's by-hand run: a fig7 (mix 1) context, with the given mix."""
+    from fogfed.cli import _build_context, scenario_from_config
+
+    scenario = scenario_from_config({"suite": "fig7_alloc_monolithic", "seed": 1})
+    return RunConfig(
+        scenario="demo", method="mr", ctx=_build_context(scenario, None),
+        workload=WorkloadSpec(400, mix=mix, window_ms=12_000.0),
+        partition_cfg=PartitionConfig(method="propart"), alloc_method="mr",
+    )
+
+
+def test_run_names_a_shape_its_context_cannot_draw():
+    # a mix-1 context has no workflow entries: the run used to die in
+    # generate_workload with a bare KeyError from the slack derivation
+    with pytest.raises(ValueError) as err:
+        run(_readme_config(0.5), seed=7)
+    assert str(err.value) == (
+        "workload mix 0.5 draws workflow shapes, but the context's ETC has "
+        "no entry for 'fire.capture'"
+    )
+    assert run(_readme_config(1.0), seed=7).requests == 400
+
+
+def test_generate_workload_checks_only_the_shapes_it_draws():
+    # the ETC below holds the workflow stages of both templates, and the
+    # monolithic type of the second only
+    first, second = unit_app(), _two_stage_chain()
+    topo = build_grid(1, 1, 7)
+    works = {v.id: v.work for spec in (first, second) for v in spec.vertices}
+    mono = to_monolithic(second).vertices[0]
+    works[mono.id] = mono.work
+    etc = build_etc(topo, works)
+    ett = build_ett(topo, LinkProfile(800.0, NormalSpec(20.0, 0.0)), {})
+    ctx = Context(topo, etc, ett, (first, second), DeadlinePolicy())
+
+    def kinds(total, mix):
+        reqs = generate_workload(WorkloadSpec(total, mix, 1000.0), 3, ctx)
+        return [(r.id % 2, r.kind) for r in reqs]
+
+    # floor(total * mix) == 0: no request is monolithic
+    for total, mix in ((1, 0.0), (9, 0.1), (400, 0.001)):
+        assert {k for _, k in kinds(total, mix)} == {"workflow"}
+    # at mix 0.5 the monolithic requests fall on odd ids, so every one of
+    # them takes the second template, whose type the ETC has
+    assert (1, "monolithic") in kinds(40, 0.5)
+    assert (0, "monolithic") not in kinds(40, 0.5)
+    # the first monolithic request of each of these takes the first
+    # template, whose type it lacks
+    for total, mix in ((5, 0.2), (1, 1.0)):
+        with pytest.raises(
+            ValueError, match="draws monolithic shapes.*'unit.mono'"
+        ):
+            kinds(total, mix)
+
+
 def test_context_rejects_unknown_origin_and_empty_templates():
     topo, etc, ett = build_context(2, 1, [unit_app()])
     with pytest.raises(KeyError, match="unknown fog 2"):
@@ -1098,6 +1154,36 @@ def test_queue_snapshot_equals_reference_in_a_run(monkeypatch):
     monkeypatch.setattr(sim._Engine, "_queue_snapshot", spy)
     run(cfg, seed=4)
     assert states == {"idle", "saturated", "mixed"}
+
+
+def test_every_instance_holds_its_fogs_runtime(monkeypatch):
+    import fogfed.sim as sim
+
+    cfg = make_cfg(
+        [_two_stage_chain(), *four_apps()], width=3, height=3, origin=4,
+        node_count=2, total=80, window=2000.0, partition_method="min_cut",
+    )
+    checked = []
+
+    def watch(handler):
+        def check(engine, inst):
+            for i in (inst, *inst.successors):
+                assert i.rt is engine.runtimes[i.fog]
+            checked.append(inst.fog)
+            handler(engine, inst)
+
+        return check
+
+    monkeypatch.setattr(
+        sim._Engine, "_on_exec_done", watch(sim._Engine._on_exec_done)
+    )
+    monkeypatch.setattr(
+        sim._Engine, "_on_transfer", watch(sim._Engine._on_transfer)
+    )
+    for alloc in ALLOC_METHODS:
+        run(dataclasses.replace(cfg, alloc_method=alloc), seed=2)
+    # every instance ends in an execution, on more than the gateway
+    assert len(set(checked)) > 1
 
 
 def test_run_calls_the_module_attributes(monkeypatch):

@@ -26,7 +26,6 @@ HOT_PATH = {
     "sim.py": (
         "_queue_snapshot",
         "_on_arrival",
-        "_enqueue",
         "_dispatch",
         "_on_exec_done",
         "_decide_mr",
@@ -35,6 +34,7 @@ HOT_PATH = {
         "_decide_nofed",
         "_report",
         "generate_workload",
+        "_decision_line",
     ),
     "alloc.py": (
         "candidate",
