@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-# shift, central_ci, prob_on_time and mean are not called here any more
-# (``Completion.candidate`` reproduces them); they stay importable from this
-# module because perfbench/traced.py times them under these names.
+# ``Completion.candidate`` computes what shift, central_ci, prob_on_time
+# and mean would; they are importable from this module because
+# perfbench/traced.py times them under these names.
 from .dist import (  # noqa: F401
     CiInterval,
     LatencyPmf,

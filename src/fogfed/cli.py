@@ -526,6 +526,11 @@ def read_csv(path: str) -> list[SimReport]:
         if header != list(CSV_HEADER):
             raise ValueError(f"unexpected CSV header: {header}")
         for lineno, row in enumerate(reader, start=2):
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(
+                    f"bad CSV row {lineno}: expected {len(CSV_HEADER)} "
+                    f"fields, got {len(row)}"
+                )
             try:
                 reports.append(
                     SimReport(
@@ -544,7 +549,7 @@ def read_csv(path: str) -> list[SimReport]:
                         plan_violations=0,
                     )
                 )
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"bad CSV row {lineno}: {exc}") from None
     return reports
 

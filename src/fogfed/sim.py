@@ -1,17 +1,17 @@
 """Deterministic discrete-event simulation of a fog federation.
 
 One engine instance per run.  Requests arrive at a gateway fog, get
-partitioned (memoized per workflow shape) and allocated, then execute as
-micro-service instances on FIFO-queued fog nodes.  Actual execution and
-transfer durations are sampled from the same PMFs the estimators use, and
-no scenario field can inject a mismatch between the two yet, so every
-allocator decides with exact knowledge of the distributions it meets.
-Each execution and transfer time takes the next uniform of the run's one
-``[seed, 1]`` stream, in event order; the stream is read in blocks (see
-``_Uniforms``), which changes no draw.  So two methods whose events come
-in different orders draw different times: giving every method the same
-draws (common random numbers) is a separate change, and it moves every
-digest.
+partitioned (one plan per shape, gateway and slacks mapping) and
+allocated, then execute as micro-service instances on FIFO-queued fog
+nodes.  Actual execution and transfer durations are sampled from the
+same PMFs the estimators use, and no scenario field can inject a
+mismatch between the two yet, so every allocator decides with exact
+knowledge of the distributions it meets.  Each execution and transfer
+time takes the next uniform of the run's one ``[seed, 1]`` stream, in
+event order; the stream is read in blocks (see ``_Uniforms``), which
+changes no draw.  So two methods whose events come in different orders
+draw different times: giving every method the same draws (common random
+numbers) is a separate change, and it moves every digest.
 
 Only the work a run's events cause is paid per event.  Arrivals are an
 exogenous stream known in advance, so they are merged in time order from
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as _json_str
@@ -126,8 +126,11 @@ class Context:
     deadlines), each template's (workflow, monolithic) shape pair, the hop
     table (``hops[a][b]`` is ``hop_distance`` from fog ``a`` to fog ``b``)
     and the plan cache.  ``plans`` maps a partition config to
-    ``{(id(spec), origin): (spec, plan, wiring)}``; plans depend only on
-    load-independent inputs, and holding the spec keeps its id unique.
+    ``{(id(spec), origin, id(slacks)): _PlanEntry}``: a ``propart`` plan
+    weighs its splits against the request's slacks, and no plan depends on
+    the load.  Each entry holds its spec and slacks, which keeps their ids
+    unique, so requests share a plan only when they share a slacks
+    mapping, as those of one shape share ``shape_slacks``.
     ``slacks`` maps ``id(spec)`` to ``(spec, StageSlacks)`` the same way;
     see ``shape_slacks``.  ``memo`` is the sweep memo (see
     ``fogfed.dist``) the completion model convolves through; a context
@@ -310,21 +313,32 @@ def partition_deadlines(
 
 
 @dataclass(frozen=True, eq=False)
-class _Wiring:
-    """How one plan's requests instantiate: the same for every request.
+class _PlanEntry:
+    """One plan of ``Context.plans`` and what every request of it reads.
 
-    ``vertices`` holds, in spec order, each vertex's id, partition index
-    and predecessor count.  ``links`` holds ``(i, successor indices)`` of
-    each vertex with successors, indices into ``vertices`` in sorted
-    successor order.
+    ``budgets`` is the plan's ``partition_deadlines`` and ``issues`` the
+    number of its ``validate_plan`` issues.  ``vertices`` holds, in spec
+    order, each vertex's id, partition index and predecessor count.
+    ``links`` holds ``(i, successor indices)`` of each vertex with
+    successors, indices into ``vertices`` in sorted successor order.
     """
 
+    spec: WorkflowSpec
+    slacks: Mapping[str, float]
+    plan: PartitionPlan
+    budgets: tuple[float, ...]
+    issues: int
     vertices: tuple[tuple[str, int, int], ...]
     links: tuple[tuple[int, tuple[int, ...]], ...]
     exits: int
 
 
-def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
+def _plan_entry(
+    cfg: PartitionConfig, model: CompletionModel, request: Request
+) -> _PlanEntry:
+    spec = request.spec
+    plan = build_plan(cfg, spec, model=model, request=request)
+    issues = len(validate_plan(plan, spec))
     part_of = {
         v.id: i for i, p in enumerate(plan.partitions) for v in p.vertices
     }
@@ -337,7 +351,12 @@ def _wiring(plan: PartitionPlan, spec: WorkflowSpec) -> _Wiring:
         successors = spec.successors(v.id)
         if successors:
             links.append((index[v.id], tuple(index[s] for s in successors)))
-    return _Wiring(
+    return _PlanEntry(
+        spec,
+        request.slacks,
+        plan,
+        partition_deadlines(plan, request),
+        issues,
         tuple((v.id, part_of[v.id], n_preds[v.id]) for v in spec.vertices),
         tuple(links),
         len(spec.exits()),
@@ -385,11 +404,6 @@ class _Engine:
             for f in self.ctx.topo.fogs
         ]
         self._plans = self.ctx.plans.setdefault(cfg.partition_cfg, {})
-        # plan keys validated in this run: plan_violations counts per run
-        self._validated: set = set()
-        # (plan key, id(slacks)) -> (slacks, partition budgets); holding
-        # the slacks keeps its id unique for the run
-        self._budgets: dict = {}
         # gateway -> (fog id, runtime, node count) of the fogs its
         # allocators read
         self._watched: dict[int, list] = {}
@@ -438,41 +452,26 @@ class _Engine:
             waits[fid] = (rt.pending_mean_ms + running) / n
         return QueueEstimate(waits)
 
-    def _plan_for(self, request: Request) -> tuple:
-        """(spec, plan, wiring) of the request's shape at its origin."""
-        key = (id(request.spec), request.origin_fog)
-        hit = self._plans.get(key)
-        if hit is None:
-            plan = build_plan(
-                self.cfg.partition_cfg,
-                request.spec,
-                model=self.ctx.model,
-                request=request,
-            )
-            hit = (request.spec, plan, _wiring(plan, request.spec))
-            self._plans[key] = hit
-        if key not in self._validated:
-            self.plan_violations += len(validate_plan(hit[1], request.spec))
-            self._validated.add(key)
-        return hit
+    def _plan_for(self, request: Request) -> _PlanEntry:
+        """The plan entry of the request's shape, gateway and slacks.
 
-    def _deadlines(
-        self, plan: PartitionPlan, request: Request
-    ) -> tuple[float, ...]:
-        """``partition_deadlines``, once per plan and slacks mapping a run."""
-        slacks = request.slacks
-        key = (id(request.spec), request.origin_fog, id(slacks))
-        hit = self._budgets.get(key)
-        if hit is None:
-            hit = (slacks, partition_deadlines(plan, request))
-            self._budgets[key] = hit
-        return hit[1]
+        Every arrival counts its plan's issues, as every ``mr`` decision
+        counts its own.
+        """
+        key = (id(request.spec), request.origin_fog, id(request.slacks))
+        entry = self._plans.get(key)
+        if entry is None:
+            entry = self._plans[key] = _plan_entry(
+                self.cfg.partition_cfg, self.ctx.model, request
+            )
+        self.plan_violations += entry.issues
+        return entry
 
     def _allocate(
-        self, plan: PartitionPlan, request: Request
+        self, entry: _PlanEntry, request: Request
     ) -> list[AllocationDecision]:
         queues = self._queue_snapshot(request.origin_fog)
-        decisions = self._decide(self, plan, request, queues)
+        decisions = self._decide(self, entry, request, queues)
         for d in decisions:
             if d.chosen != request.origin_fog:
                 self.remote_assignments += 1
@@ -485,16 +484,16 @@ class _Engine:
     # The allocators are looked up in this module's namespace at each call,
     # so a replaced ``fogfed.sim.allocate_*`` is the one that runs.
 
-    def _decide_mr(self, plan, request, queues):
+    def _decide_mr(self, entry, request, queues):
         ctx = self.ctx
         decisions = allocate_mr(
-            plan,
+            entry.plan,
             request.origin_fog,
             ctx.topo,
             ctx.etc,
             ctx.ett,
             queues,
-            self._deadlines(plan, request),
+            entry.budgets,
             self.cfg.ci_level,
             model=ctx.model,
         )
@@ -503,8 +502,9 @@ class _Engine:
             self.mr_violations += len(validate_mr_decision(d))
         return decisions
 
-    def _decide_mect(self, plan, request, queues):
+    def _decide_mect(self, entry, request, queues):
         ctx = self.ctx
+        plan = entry.plan
         decisions = []
         for idx, (part, pinned) in enumerate(
             zip(plan.partitions, plan.must_run_local)
@@ -523,9 +523,10 @@ class _Engine:
             )
         return decisions
 
-    def _decide_mcc(self, plan, request, queues):
+    def _decide_mcc(self, entry, request, queues):
         ctx = self.ctx
-        deadlines = self._deadlines(plan, request)
+        plan = entry.plan
+        deadlines = entry.budgets
         decisions = []
         for idx, (part, pinned) in enumerate(
             zip(plan.partitions, plan.must_run_local)
@@ -545,9 +546,9 @@ class _Engine:
             )
         return decisions
 
-    def _decide_nofed(self, plan, request, queues):
+    def _decide_nofed(self, entry, request, queues):
         decisions = []
-        for idx, part in enumerate(plan.partitions):
+        for idx, part in enumerate(entry.plan.partitions):
             decisions.append(
                 allocate_no_federation(
                     part,
@@ -572,16 +573,16 @@ class _Engine:
     # run's pushes, so events at one time pop in push order.
 
     def _on_arrival(self, request: Request) -> None:
-        _spec, plan, wiring = self._plan_for(request)
-        decisions = self._allocate(plan, request)
+        entry = self._plan_for(request)
+        decisions = self._allocate(entry, request)
         origin = request.origin_fog
         ctx = self.ctx
         etc = ctx.etc
         hops = ctx.hops[origin]
         runtimes = self.runtimes
-        self._exits_left[request.id] = wiring.exits
+        self._exits_left[request.id] = entry.exits
         insts = []
-        for vid, part_idx, n_preds in wiring.vertices:
+        for vid, part_idx, n_preds in entry.vertices:
             fog = decisions[part_idx].chosen
             entry_needs_transfer = n_preds == 0 and fog != origin
             pmf = etc.pmf(vid, fog)
@@ -602,7 +603,7 @@ class _Engine:
                 if rt.free:
                     self._dispatch(rt)
         # no event of this request has run yet, so linking last is safe
-        for i, succ in wiring.links:
+        for i, succ in entry.links:
             insts[i].successors = list(map(insts.__getitem__, succ))
 
     def _on_transfer(self, inst: _Instance) -> None:
@@ -747,17 +748,11 @@ _CANDIDATE_NO_CI = (
     '{"blocked": %s, "ci": null, "fog": %d, "hops": %d, "in_f": %s, '
     '"mean_ms": %s, "p": %s}'
 )
-# line template per candidate shape: one ``ci is None`` flag per candidate
-_LINE_TEMPLATES: dict[tuple[bool, ...], str] = {}
-
-
-def _line_template(shape: tuple[bool, ...]) -> str:
-    return (
-        '{"app": %s, "candidates": ['
-        + ", ".join([_CANDIDATE_NO_CI if n else _CANDIDATE for n in shape])
-        + '], "chosen": %d, "kind": %s, "local_fog": %d, "method": %s, '
-        '"partition": %d, "reason": %s, "request": %d%s%s}\n'
-    )
+_HEAD = '{"app": %s, "candidates": ['
+_TAIL = (
+    '], "chosen": %d, "kind": %s, "local_fog": %d, "method": %s, '
+    '"partition": %d, "reason": %s, "request": %d%s%s}\n'
+)
 
 
 def _json_number(arg):
@@ -779,27 +774,24 @@ def _decision_line(
     and its on-time probability to 1e-6 (``null`` when it has none), and
     the run's ``stamp`` (see ``_trace_stamp``).
 
-    The line is one ``%`` of the template of its candidate shape.  Floats
-    go through ``%s`` after ``float()``, which spells a finite float as
-    ``json.dumps`` does; a probability of exactly 0 or 1 needs no rounding.
+    The line is one ``%`` of a template built with its arguments: one
+    fragment per candidate, with or without a CI, joined between a fixed
+    head and tail.  Floats go through ``%s`` after ``float()``, which
+    spells a finite float as ``json.dumps`` does; a probability of exactly
+    0 or 1 needs no rounding.
     ``%s`` spells a non-finite float ``inf`` or ``nan``, so a line holding
     either text is filled again with each argument passed through
     ``_json_number``.
     """
-    cands = d.candidates
-    shape = []
-    for r in cands:
-        shape.append(r.ci is None)
-    shape = tuple(shape)
-    template = _LINE_TEMPLATES.get(shape)
-    if template is None:
-        template = _LINE_TEMPLATES[shape] = _line_template(shape)
+    fragments = []
     args = [_json_str(request.spec.app)]
-    for r in cands:
+    for r in d.candidates:
         ci = r.ci
         if ci is None:
+            fragments.append(_CANDIDATE_NO_CI)
             args.append(_BOOL[r.blocked])
         else:
+            fragments.append(_CANDIDATE)
             args += (_BOOL[r.blocked], float(ci.lo), float(ci.hi))
         p = r.p
         if p != p:
@@ -820,6 +812,7 @@ def _decision_line(
         stamp,
         round(float(now), 3),
     )
+    template = _HEAD + ", ".join(fragments) + _TAIL
     line = template % tuple(args)
     if "inf" in line or "nan" in line:
         line = template % tuple(map(_json_number, args))

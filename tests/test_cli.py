@@ -772,6 +772,23 @@ def test_report_rejects_a_repeated_run(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "row, fields",
+    [("s,m,10,0.0,2,1,0.5,100.0,extra", 9), ("s,m,10,0.0,2,1,0.5", 7)],
+    ids=["extra-field", "missing-field"],
+)
+def test_report_rejects_a_row_of_another_width(tmp_path, capsys, row, fields):
+    path = tmp_path / "wide.csv"
+    good = "s,m,10,0.0,2,0,0.5,100.0"
+    path.write_text("\n".join([",".join(CSV_HEADER), good, row, ""]))
+    assert main(["report", "--in", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"report error: bad CSV row 3: expected 8 fields, got {fields}\n"
+    )
+    assert captured.out == ""
+
+
 def test_read_csv_rejects_bad_header_and_rows(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("nope,really\n1,2\n")

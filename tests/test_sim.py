@@ -33,7 +33,12 @@ from fogfed.model import (
     service_slacks,
     to_monolithic,
 )
-from fogfed.partition import PartitionConfig, baseline_mincut, no_partition
+from fogfed.partition import (
+    PartitionConfig,
+    baseline_mincut,
+    build_plan,
+    no_partition,
+)
 from fogfed.sim import (
     ALLOC_METHODS,
     Context,
@@ -424,9 +429,9 @@ def _spy_budgets(monkeypatch):
     original_allocate = sim._Engine._allocate
     original_budgets = sim.partition_deadlines
 
-    def allocate(engine, plan, request):
-        seen.append([plan, request, None])
-        return original_allocate(engine, plan, request)
+    def allocate(engine, entry, request):
+        seen.append([entry.plan, request, None])
+        return original_allocate(engine, entry, request)
 
     def allocate_mr(plan, local, topo, etc, ett, queues, deadlines, *a, **k):
         seen[-1][2] = deadlines
@@ -476,6 +481,105 @@ def test_engine_budgets_follow_each_requests_own_slacks(monkeypatch):
     ]
     # one computation per distinct slacks mapping
     assert [r.id for r in calls] == [0, 1, 2]
+
+
+# ------------------------------------------------------------ plan entries
+
+
+def _fig5_propart(mix=0.0):
+    from fogfed.cli import _build_context, _cell_config, scenario_from_config
+
+    sc = scenario_from_config(
+        {"suite": "fig5_partitioning", "seed": 1234, "mix": mix}
+    )
+    return _cell_config(sc, _build_context(sc, None), "propart", 100)
+
+
+def test_each_request_gets_the_plan_built_for_its_own_slacks(monkeypatch):
+    # propart weighs a split against the request's slacks: fire splits in
+    # two under its shape's slacks and stays whole under ten times them
+    import fogfed.sim as sim
+
+    cfg = _fig5_propart()
+    ctx = cfg.ctx
+    spec = next(t for t in ctx.templates if t.app == "fire")
+    shared = ctx.shape_slacks(spec)
+    loose = {k: 10.0 * v for k, v in shared.items()}
+    reqs = [
+        Request(i, float(i), "workflow", spec, ctx.origin_fog,
+                i + sum(slacks.values()), slacks)
+        for i, slacks in enumerate((shared, loose, shared))
+    ]
+    handed = []
+    original = sim.allocate_mr
+
+    def allocate_mr(plan, *args, **kwargs):
+        handed.append(plan)
+        return original(plan, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "allocate_mr", allocate_mr)
+    simulate_requests(cfg, reqs, seed=1)
+
+    def parts(plan):
+        return [[v.id for v in p.vertices] for p in plan.partitions]
+
+    own = [
+        build_plan(cfg.partition_cfg, spec, model=ctx.model, request=r)
+        for r in reqs
+    ]
+    assert [len(p.partitions) for p in own] == [2, 1, 2]
+    assert [parts(p) for p in handed] == [parts(p) for p in own]
+    assert [p.root_p for p in handed] == [p.root_p for p in own]
+
+
+def test_two_runs_plan_check_and_budget_once_per_shape_gateway_slacks(
+    monkeypatch,
+):
+    import fogfed.sim as sim
+
+    calls = {"build_plan": [], "validate_plan": [], "partition_deadlines": []}
+
+    def key(request):
+        return (id(request.spec), request.origin_fog, id(request.slacks))
+
+    def build(cfg, w, **kwargs):
+        calls["build_plan"].append(key(kwargs["request"]))
+        return original["build_plan"](cfg, w, **kwargs)
+
+    def check(plan, w):
+        calls["validate_plan"].append(id(w))
+        return original["validate_plan"](plan, w)
+
+    def budgets(plan, request):
+        calls["partition_deadlines"].append(key(request))
+        return original["partition_deadlines"](plan, request)
+
+    original = {name: getattr(sim, name) for name in calls}
+    for name, spy in zip(calls, (build, check, budgets)):
+        monkeypatch.setattr(sim, name, spy)
+    cfg = _fig5_propart(mix=0.3)
+    keys = set()
+    for seed in (3, 4):
+        keys |= {key(r) for r in generate_workload(cfg.workload, seed, cfg.ctx)}
+        run(cfg, seed)
+    # each shape of the mix, workflow and monolithic, at the one gateway
+    assert len(keys) == 2 * len(cfg.ctx.templates)
+    assert sorted(calls["build_plan"]) == sorted(keys)
+    assert sorted(calls["partition_deadlines"]) == sorted(keys)
+    assert sorted(calls["validate_plan"]) == sorted(k[0] for k in keys)
+
+
+def test_plan_violations_count_every_arrival(monkeypatch):
+    import fogfed.sim as sim
+
+    monkeypatch.setattr(sim, "validate_plan", lambda plan, w: ["bad"])
+    cfg = make_cfg(
+        four_apps(), width=2, height=2, total=12, window=2000.0,
+        alloc="mr", partition_method="propart",
+    )
+    # the second run finds every plan, and its issues, in the context
+    for seed in (5, 5, 6):
+        assert run(cfg, seed).plan_violations == 12
 
 
 # ------------------------------------------------------------------- engine
@@ -917,14 +1021,13 @@ def test_trace_line_of_huge_numpy_floats():
     assert line.endswith('"time_ms": 1e+306}\n')
 
 
-def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
+def test_fig11_trace_never_falls_back_and_covers_every_candidate_shape(
     monkeypatch,
 ):
     import fogfed.sim as sim
     from fogfed.cli import run_sweep, scenario_from_config
 
     calls = _spy_json_number(monkeypatch)
-    monkeypatch.setattr(sim, "_LINE_TEMPLATES", {})
     shapes = set()
     methods = set()
     encode = sim._decision_line
@@ -939,7 +1042,6 @@ def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
     _, records = run_sweep(scenario_from_config(doc), parallel=1, trace=True)
     assert len(records) == 5000
     assert calls == []
-    assert set(sim._LINE_TEMPLATES) == shapes
     # fig11 runs mr only, whose every candidate has a CI: one shape per
     # candidate count, the gateway alone up to the gateway and 4 neighbours
     assert shapes == {(False,) * k for k in range(1, 6)}
@@ -956,7 +1058,6 @@ def test_fig11_trace_never_falls_back_and_caches_one_template_per_shape(
     assert records
     assert methods == set(ALLOC_METHODS)
     assert calls == []
-    assert set(sim._LINE_TEMPLATES) == shapes
     assert shapes - fig11_shapes
 
 

@@ -25,13 +25,17 @@ def test_package_has_no_assert_statements():
 HOT_PATH = {
     "sim.py": (
         "_queue_snapshot",
+        "_plan_for",
+        "_allocate",
         "_on_arrival",
+        "_on_transfer",
         "_dispatch",
         "_on_exec_done",
         "_decide_mr",
         "_decide_mect",
         "_decide_mcc",
         "_decide_nofed",
+        "run",
         "_report",
         "generate_workload",
         "_decision_line",
