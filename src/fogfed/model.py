@@ -403,7 +403,8 @@ class Request:
     ``slacks`` holds each stage's arrival-relative budget (see
     ``service_slacks``); ``workflow_deadline`` is absolute.  Requests of
     one shape may share one ``slacks`` mapping; a ``StageSlacks`` one was
-    checked when it was built, any other is checked per request.  Slotted
+    checked when it was built, any other is checked per request for a
+    non-negative slack of every stage of ``spec``.  Slotted
     rather than frozen, since a run builds one per arrival; never changed
     after it is built.
     """
@@ -426,10 +427,13 @@ class Request:
             )
         if not self.workflow_deadline > self.arrival_ms:
             raise ValueError("workflow deadline must exceed the arrival time")
-        if not isinstance(self.slacks, StageSlacks) and any(
-            not s >= 0 for s in self.slacks.values()
-        ):
+        if isinstance(self.slacks, StageSlacks):
+            return
+        if any(not s >= 0 for s in self.slacks.values()):
             raise ValueError("service slack must be non-negative")
+        for v in self.spec.vertices:
+            if v.id not in self.slacks:
+                raise ValueError(f"no service slack for stage {v.id!r}")
 
 
 def assign_deadlines(

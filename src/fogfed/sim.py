@@ -369,8 +369,7 @@ class _Instance:
 
     ``successors`` are the instances its output feeds, so links point
     forward along the workflow's edges only and a finished request's
-    instances are freed by reference counting.  ``node`` is the node it
-    runs on once dispatched.
+    instances are freed by reference counting.
     """
 
     request: Request
@@ -380,15 +379,21 @@ class _Instance:
     missing: int
     rt: _FogRuntime
     successors: Sequence[_Instance] = ()
-    node: int = -1
 
 
 @dataclass(slots=True, eq=False)
 class _FogRuntime:
-    busy_until: list
+    """One fog as counters: ``free`` of its ``nodes`` are idle.
+
+    ``busy_sum`` sums its running instances' completion times (``_dispatch``
+    adds each, ``_on_exec_done`` takes it out) and is exactly 0 when idle.
+    """
+
+    nodes: int
     free: int
     queue: deque = field(default_factory=deque)
     pending_mean_ms: float = 0.0
+    busy_sum: float = 0.0
 
 
 class _Engine:
@@ -400,7 +405,7 @@ class _Engine:
         self._stamp = _trace_stamp(cfg.scenario, cfg.method, seed)
         # indexed by fog id: a topology's ``fogs[i].id`` is ``i``
         self.runtimes = [
-            _FogRuntime([None] * f.node_count, f.node_count)
+            _FogRuntime(f.node_count, f.node_count)
             for f in self.ctx.topo.fogs
         ]
         self._plans = self.ctx.plans.setdefault(cfg.partition_cfg, {})
@@ -425,31 +430,25 @@ class _Engine:
     def _queue_snapshot(self, gateway: int) -> QueueEstimate:
         """Expected waits on the gateway and its neighbours.
 
-        Those are the only fogs an allocator reads.  A busy node's ``u`` is
-        never before now, since its completion event is still queued.  An
-        idle fog has no running work to sum; otherwise the busy nodes are
-        summed in node order, left to right from int 0.  That is what
-        ``sum()`` computes on CPython 3.10 and 3.11; from 3.12 ``sum()``
-        compensates, so this loop, not ``sum()``, fixes the last bits.
+        Those are the only fogs an allocator reads.  A fog's wait is
+        ``(pending + running) / nodes``, ``running`` being ``busy_sum`` less
+        ``now`` per busy node.  No completion time is before now (its event
+        is still queued), so a negative ``running`` is rounding and reads
+        as 0, and an idle fog reads exactly ``pending / nodes``.
         """
         watched = self._watched.get(gateway)
         if watched is None:
             watched = []
             for fid in (gateway, *self.ctx.topo.neighbors(gateway)):
                 rt = self.runtimes[fid]
-                watched.append((fid, rt, len(rt.busy_until)))
+                watched.append((fid, rt, rt.nodes))
             self._watched[gateway] = watched
         now = self._now
         waits = {}
         for fid, rt, n in watched:
-            if rt.free == n:
-                waits[fid] = rt.pending_mean_ms / n
-                continue
-            running = 0
-            for u in rt.busy_until:
-                if u is not None:
-                    running += u - now
-            waits[fid] = (rt.pending_mean_ms + running) / n
+            running = rt.busy_sum - (n - rt.free) * now
+            pending = rt.pending_mean_ms
+            waits[fid] = (pending + running if running > 0.0 else pending) / n
         return QueueEstimate(waits)
 
     def _plan_for(self, request: Request) -> _PlanEntry:
@@ -616,26 +615,23 @@ class _Engine:
 
     def _dispatch(self, rt: _FogRuntime) -> None:
         """Start queued instances on free nodes; a no-op when either is none."""
-        busy_until = rt.busy_until
         queue = rt.queue
         while queue and rt.free:
-            # the lowest free node, so snapshot sums keep their order
-            node = busy_until.index(None)
             inst = queue.popleft()
-            dur = sample(inst.pmf, self.uniforms)
-            until = self._now + dur
-            busy_until[node] = until
+            until = self._now + sample(inst.pmf, self.uniforms)
+            rt.busy_sum += until
             rt.free -= 1
             pending = rt.pending_mean_ms - inst.pmf.mean
             rt.pending_mean_ms = pending if pending > 0.0 else 0.0
-            inst.node = node
             heappush(self._heap, (until, self._seq, _EXEC_DONE, inst))
             self._seq += 1
 
     def _on_exec_done(self, inst: _Instance) -> None:
         rt = inst.rt
-        rt.busy_until[inst.node] = None
         rt.free += 1
+        # now is the ``until`` that _dispatch added; an idle fog resets to 0,
+        # so rounding never outlives a busy period
+        rt.busy_sum = 0.0 if rt.free == rt.nodes else rt.busy_sum - self._now
         if not inst.successors:
             rid = inst.request.id
             self._exits_left[rid] -= 1

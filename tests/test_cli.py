@@ -1,5 +1,6 @@
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -510,6 +511,13 @@ _PINNED_SHA256 = {
         "0d81084c41e791052899c9b40b41aef7c506bf80bf287115fcfff7e4db213324",
         "892cc15f3514ddee4932868b3f29c4f637b035442cdd9b1c06057c014d9c7bd6",
     ),
+    # mr, MECT and MCC on saturated 8-node fogs at degrees 1-4; MECT and MCC
+    # records print wait + exec to 1 us, so every queue wait shows here
+    "fig12_scaling_monolithic": (
+        1000,
+        "b7a60e0a608323f5787add1424253b26b8b68d08ada6daeb7157136f6a03dae4",
+        "178dc1d4e42aa9939cd5db7f79992003f4ad74a2014fdb2d905e289b03719038",
+    ),
 }
 
 
@@ -526,6 +534,29 @@ def test_simulate_trace_bytes_are_pinned(tmp_path, suite, parallel):
     trace = (tmp_path / "out.csv.trace.jsonl").read_bytes()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_sha
     assert hashlib.sha256(trace).hexdigest() == trace_sha
+
+
+def test_simulate_trace_bytes_do_not_depend_on_the_hash_seed(tmp_path):
+    """The benchmark pins ``PYTHONHASHSEED=0``, so output that followed the
+    order of a set or dict of strings would show only across seeds."""
+    doc = {"suite": "fig8_mixed", "loads": [200], "repetitions": 2,
+           "seed": 1234}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "fogfed.cli", "simulate", "--config",
+             str(cfg), "--out", str(out), "--trace", "--parallel", "1"],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        trace = tmp_path / f"out{hash_seed}.csv.trace.jsonl"
+        outputs.append((out.read_bytes(), trace.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][1].count(b"\n") > 100
 
 
 def _count_runs(monkeypatch):

@@ -287,6 +287,15 @@ class TestDeadlines:
         assert req.slacks is slacks
         assert req.workflow_deadline == 5.5
 
+    def test_request_names_the_first_stage_without_a_slack(self):
+        w = _w(("a", "b", "c"), [("a", "b"), ("b", "c")])
+        refused = "^no service slack for stage 'b'$"
+        with pytest.raises(ValueError, match=refused):
+            Request(0, 1.0, "workflow", w, 0, 9.0, {"a": 1.0, "c": 1.0})
+        # a StageSlacks was checked when it was built, and is not again
+        req = Request(0, 1.0, "workflow", w, 0, 9.0, StageSlacks({"a": 1.0}))
+        assert req.slacks == {"a": 1.0}
+
     def test_builtin_deadline_exceeds_arrival(self):
         for name in APP_NAMES:
             w = builtin_app(name)

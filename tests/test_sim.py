@@ -2,13 +2,11 @@ import dataclasses
 import functools
 import json
 import math
-import operator
-import sys
 from types import MappingProxyType
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fogfed.alloc import REASONS, AllocationDecision, CandidateRecord
@@ -611,6 +609,29 @@ def test_single_request_impossible_deadline_misses():
     assert report.avg_makespan_ms == 100.0
 
 
+@pytest.mark.parametrize("alloc", ALLOC_METHODS)
+def test_request_without_a_stage_slack_never_reaches_the_engine(alloc):
+    """A plain slacks mapping must hold every stage of the spec: without
+    one, the request is refused where it is built, naming the first missing
+    stage, rather than failing in a run's plan entry under ``alloc``."""
+    spec = _two_stage_chain()
+    cfg = make_cfg(
+        [spec], width=2, height=1, alloc=alloc, partition_method="min_cut"
+    )
+    full = {"chain.a": 300.0, "chain.b": 500.0}
+    ok = Request(0, 1.0, "workflow", spec, 0, 801.0, full)
+    assert simulate_requests(cfg, [ok], seed=1).requests == 1
+    for slacks, missing in (
+        ({}, "chain.a"),
+        ({"chain.b": 500.0}, "chain.a"),
+        ({"chain.a": 300.0}, "chain.b"),
+    ):
+        with pytest.raises(
+            ValueError, match=f"^no service slack for stage '{missing}'$"
+        ):
+            Request(0, 1.0, "workflow", spec, 0, 801.0, slacks)
+
+
 def test_fifo_single_node_hand_schedule():
     # One fog, one node, point-mass 100 ms executions.
     # arrivals 0 / 10 / 250: the second waits for the first, the third
@@ -835,9 +856,8 @@ def reference_record(now, request, d, scenario, method, seed) -> dict:
 
 def _trace_request(app="fire", request_id=0, kind="workflow"):
     spec = unit_app(name=app)
-    return Request(
-        request_id, 0.0, kind, spec, 0, 100.0, MappingProxyType({})
-    )
+    slacks = MappingProxyType({v.id: 100.0 for v in spec.vertices})
+    return Request(request_id, 0.0, kind, spec, 0, 100.0, slacks)
 
 
 def _assert_line_is_reference(now, request, d, scenario, method, seed):
@@ -1087,28 +1107,19 @@ def test_trace_line_of_every_engine_decision(monkeypatch):
 
 # ----------------------------------------------------------- queue snapshot
 
-# ``sum()`` of floats as CPython 3.10 and 3.11 compute it, left to right
-# from int 0: the arithmetic every recorded digest holds.  From 3.12
-# ``sum()`` compensates; the engine's plain loop keeps the older bits.
-_left_sum = (
-    sum
-    if sys.version_info < (3, 12)
-    else lambda xs: functools.reduce(operator.add, xs, 0)
-)
-
 
 def reference_waits(engine, gateway) -> dict:
-    """Queue waits by the one formula for every fog: the oracle.
+    """Queue waits by the one counter formula for every fog: the oracle.
 
-    Each busy node's remaining time is summed in node order, free nodes
-    filtered out, whatever the fog's state.
+    ``(pending + max(0, busy_sum - busy nodes * now)) / nodes``, whatever
+    the fog's state.
     """
     now = engine._now
     waits = {}
     for fid in (gateway, *engine.ctx.topo.neighbors(gateway)):
         rt = engine.runtimes[fid]
-        running = _left_sum([u - now for u in rt.busy_until if u is not None])
-        waits[fid] = (rt.pending_mean_ms + running) / len(rt.busy_until)
+        running = max(0.0, rt.busy_sum - (rt.nodes - rt.free) * now)
+        waits[fid] = (rt.pending_mean_ms + running) / rt.nodes
     return waits
 
 
@@ -1116,42 +1127,55 @@ def _hex_waits(waits: dict) -> dict:
     return {fid: float.hex(w) for fid, w in waits.items()}
 
 
+def _runtime(now, remaining, free, pending, rounding=0.0):
+    """A fog with ``free`` idle nodes and one busy node per ``remaining``.
+
+    ``rounding`` stands for what a run's adds and subtracts leave in
+    ``busy_sum``; an idle fog's sum is exactly 0, as a run resets it.
+    """
+    import fogfed.sim as sim
+
+    busy_sum = math.fsum(now + r for r in remaining) + rounding
+    return sim._FogRuntime(
+        len(remaining) + free,
+        free,
+        pending_mean_ms=pending,
+        busy_sum=busy_sum if remaining else 0.0,
+    )
+
+
 remaining = st.floats(min_value=0.0, max_value=5000.0)
 pending = st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e5))
+rounding = st.one_of(st.just(0.0), st.floats(min_value=-1e-9, max_value=1e-9))
 
 
 @settings(max_examples=200, deadline=None)
 @given(
     st.floats(min_value=0.0, max_value=1e6),
     st.tuples(st.integers(min_value=1, max_value=8), pending),
-    st.tuples(st.lists(remaining, min_size=1, max_size=8), pending),
+    st.tuples(st.lists(remaining, min_size=1, max_size=8), pending, rounding),
     st.tuples(
-        st.lists(st.one_of(st.none(), remaining), min_size=0, max_size=6),
-        remaining,
+        st.lists(remaining, min_size=1, max_size=6),
+        st.integers(min_value=1, max_value=6),
         pending,
+        rounding,
     ),
 )
+@example(1.0, (1, 0.0), ([0.0, 0.0], 5.0, -1e-9), ([0.0], 1, 0.0, -1e-9))
 def test_queue_snapshot_equals_reference_formula(now, idle, busy, mixed):
     import fogfed.sim as sim
 
     # gateway 1 of a 3x1 row watches fog 0 (idle), itself (saturated) and
-    # fog 2 (mixed: one free node, one busy node, then any slots)
+    # fog 2 (mixed: some nodes free, some busy)
     cfg = make_cfg([unit_app()], width=3, height=1, origin=1)
     engine = sim._Engine(cfg, seed=0)
     engine._now = now
-    slots = {
-        0: [None] * idle[0],
-        1: [now + r for r in busy[0]],
-        2: [None, now + mixed[1]]
-        + [None if r is None else now + r for r in mixed[0]],
-    }
-    pendings = {0: idle[1], 1: busy[1], 2: mixed[2]}
-    for fid, nodes in slots.items():
-        engine.runtimes[fid] = sim._FogRuntime(
-            nodes, nodes.count(None), pending_mean_ms=pendings[fid]
-        )
+    engine.runtimes[0] = _runtime(now, [], idle[0], idle[1])
+    engine.runtimes[1] = _runtime(now, busy[0], 0, busy[1], busy[2])
+    engine.runtimes[2] = _runtime(now, mixed[0], *mixed[1:])
     got = engine._queue_snapshot(1).waits
     assert _hex_waits(got) == _hex_waits(reference_waits(engine, 1))
+    assert min(got.values()) >= 0.0
 
 
 @functools.cache
@@ -1165,29 +1189,29 @@ def _centre_cfg():
     st.floats(min_value=0.0, max_value=1e6),
     st.lists(
         st.tuples(
-            st.lists(st.one_of(st.none(), remaining), min_size=1, max_size=8),
+            st.lists(remaining, max_size=8),
+            st.integers(min_value=0, max_value=8),
             pending,
-        ),
+            rounding,
+        ).filter(lambda s: s[0] or s[1]),
         min_size=5,
         max_size=5,
     ),
 )
-def test_queue_snapshot_sums_busy_nodes_left_to_right(now, states):
-    """Each fog's wait is ``(pending + sum(busy remainders)) / nodes``, bit
-    for bit, on any mix of busy and idle nodes."""
+def test_queue_snapshot_reads_each_fogs_counters(now, states):
+    """Each fog's wait is ``(pending + running) / nodes``, ``running`` being
+    ``busy_sum`` less ``now`` per busy node and at least 0, bit for bit,
+    on any mix of busy and idle nodes."""
     import fogfed.sim as sim
 
     engine = sim._Engine(_centre_cfg(), seed=0)
     engine._now = now
     watched = (4, 1, 3, 5, 7)
     want = {}
-    for fid, (nodes, pend) in zip(watched, states):
-        busy = [None if r is None else now + r for r in nodes]
-        engine.runtimes[fid] = sim._FogRuntime(
-            busy, busy.count(None), pending_mean_ms=pend
-        )
-        running = _left_sum([u - now for u in busy if u is not None])
-        want[fid] = (pend + running) / len(busy)
+    for fid, (busy, free, pend, error) in zip(watched, states):
+        rt = engine.runtimes[fid] = _runtime(now, busy, free, pend, error)
+        running = rt.busy_sum - len(busy) * now
+        want[fid] = (pend + (running if running > 0.0 else 0.0)) / rt.nodes
     got = engine._queue_snapshot(4).waits
     assert tuple(got) == watched
     assert _hex_waits(got) == _hex_waits(want)
@@ -1230,12 +1254,12 @@ def test_engine_reads_hops_from_the_context_table(monkeypatch):
 
 
 def test_queue_snapshot_equals_reference_in_a_run(monkeypatch):
+    """In a run, each watched fog's ``busy_sum`` is its running instances'
+    completion times summed (within 1e-6 ms) and exactly 0 when idle, and
+    every snapshot is the oracle's, bit for bit.  The light run's fogs go
+    idle after overlapping busy spells, where a missed reset would show."""
     import fogfed.sim as sim
 
-    cfg = make_cfg(
-        [unit_app(mean_mi=400.0, std_mi=60.0)], width=3, height=1,
-        node_count=2, total=300, window=3000.0, alloc="mect", origin=1,
-    )
     states = set()
     snapshot = sim._Engine._queue_snapshot
 
@@ -1243,8 +1267,18 @@ def test_queue_snapshot_equals_reference_in_a_run(monkeypatch):
         want = _hex_waits(reference_waits(engine, gateway))
         for fid in want:
             rt = engine.runtimes[fid]
+            # the heap's exec-done events are the fog's running instances
+            running = [
+                t for t, _, kind, inst in engine._heap
+                if kind == sim._EXEC_DONE and inst.rt is rt
+            ]
+            assert len(running) == rt.nodes - rt.free
+            if running:
+                assert abs(rt.busy_sum - math.fsum(running)) <= 1e-6
+            else:
+                assert float.hex(rt.busy_sum) == float.hex(0.0)
             states.add(
-                "idle" if rt.free == len(rt.busy_until)
+                "idle" if rt.free == rt.nodes
                 else "saturated" if rt.free == 0
                 else "mixed"
             )
@@ -1253,8 +1287,15 @@ def test_queue_snapshot_equals_reference_in_a_run(monkeypatch):
         return got
 
     monkeypatch.setattr(sim._Engine, "_queue_snapshot", spy)
-    run(cfg, seed=4)
-    assert states == {"idle", "saturated", "mixed"}
+    for nodes, window in ((2, 3000.0), (3, 12000.0)):
+        cfg = make_cfg(
+            [unit_app(mean_mi=400.0, std_mi=60.0)], width=3, height=1,
+            node_count=nodes, total=300, window=window, alloc="mect",
+            origin=1,
+        )
+        states.clear()
+        run(cfg, seed=4)
+        assert states == {"idle", "saturated", "mixed"}
 
 
 def test_every_instance_holds_its_fogs_runtime(monkeypatch):
