@@ -346,8 +346,13 @@ class DeadlinePolicy:
     mean_comm_ms: float = 20.0
 
     def __post_init__(self) -> None:
-        if self.epsilon_ms < 0 or self.mean_comm_ms < 0:
-            raise ValueError("deadline slack terms must be non-negative")
+        for term in (self.epsilon_ms, self.mean_comm_ms):
+            # written so that a NaN fails it
+            if not 0 <= term < math.inf:
+                raise ValueError(
+                    "deadline slack terms must be non-negative and finite, "
+                    f"got {term}"
+                )
 
 
 def service_slacks(
@@ -367,44 +372,16 @@ def service_slacks(
     return out
 
 
-class StageSlacks(Mapping):
-    """Read-only stage slacks, every value checked non-negative once.
-
-    Requests of one shape share one of these, so a ``Request`` holding it
-    skips its own scan of the values.
-    """
-
-    __slots__ = ("_slacks",)
-
-    def __init__(self, slacks: Mapping[str, float]):
-        slacks = dict(slacks)
-        # written so that a NaN fails it
-        if any(not s >= 0 for s in slacks.values()):
-            raise ValueError("service slack must be non-negative")
-        self._slacks = slacks
-
-    def __getitem__(self, vid: str) -> float:
-        return self._slacks[vid]
-
-    def __iter__(self):
-        return iter(self._slacks)
-
-    def __len__(self) -> int:
-        return len(self._slacks)
-
-
 # --------------------------------------------------------------- requests
 
 
 @dataclass(slots=True, eq=False)
 class Request:
-    """One arriving unit of work, already stamped with deadlines.
+    """One arriving unit of work, already stamped with its deadline.
 
-    ``slacks`` holds each stage's arrival-relative budget (see
-    ``service_slacks``); ``workflow_deadline`` is absolute.  Requests of
-    one shape may share one ``slacks`` mapping; a ``StageSlacks`` one was
-    checked when it was built, any other is checked per request for a
-    non-negative slack of every stage of ``spec``.  Slotted
+    ``workflow_deadline`` is absolute.  Each stage's arrival-relative
+    budget belongs to the shape, not the request: the run's context
+    derives it from ``spec`` (see ``sim.Context.shape_slacks``).  Slotted
     rather than frozen, since a run builds one per arrival; never changed
     after it is built.
     """
@@ -415,7 +392,6 @@ class Request:
     spec: WorkflowSpec
     origin_fog: int
     workflow_deadline: float
-    slacks: Mapping[str, float]
 
     def __post_init__(self) -> None:
         if self.kind not in ("workflow", "monolithic"):
@@ -427,13 +403,6 @@ class Request:
             )
         if not self.workflow_deadline > self.arrival_ms:
             raise ValueError("workflow deadline must exceed the arrival time")
-        if isinstance(self.slacks, StageSlacks):
-            return
-        if any(not s >= 0 for s in self.slacks.values()):
-            raise ValueError("service slack must be non-negative")
-        for v in self.spec.vertices:
-            if v.id not in self.slacks:
-                raise ValueError(f"no service slack for stage {v.id!r}")
 
 
 def assign_deadlines(
@@ -450,9 +419,9 @@ def assign_deadlines(
     ``slacks`` is the shape's ``service_slacks``: every stage gets the slack
     E_i + epsilon + d_c.  The workflow deadline is the arrival plus every
     stage's slack, so the end-to-end budget grows with the number of
-    stages.  The request keeps ``slacks`` itself, not a copy.
+    stages.
     """
-    # id, arrival_ms, kind, spec, origin_fog, workflow_deadline, slacks
+    # id, arrival_ms, kind, spec, origin_fog, workflow_deadline
     return Request(
         request_id,
         arrival_ms,
@@ -460,5 +429,4 @@ def assign_deadlines(
         w,
         origin_fog,
         arrival_ms + left_sum(slacks.values()),
-        slacks,
     )

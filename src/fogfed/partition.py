@@ -12,11 +12,12 @@ one, so ties resolve to the smallest source side deterministically.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .alloc import CompletionModel
 from .dist import left_sum, prob_on_time
-from .model import Request, WorkflowSpec
+from .model import WorkflowSpec
 
 _SOURCE = "__source__"
 _SINK = "__sink__"
@@ -256,7 +257,8 @@ def baseline_least_data(w: WorkflowSpec) -> PartitionPlan:
 def propart(
     w: WorkflowSpec,
     model: CompletionModel,
-    request: Request,
+    origin: int,
+    slacks: Mapping[str, float],
     cfg: PartitionConfig,
 ) -> PartitionPlan:
     """Recursive probability-improving partitioning.
@@ -268,12 +270,11 @@ def propart(
     latencies only), and the recursion continues on kept sides.  A side
     with a vertex that is both an entry and an exit has no bisection (the
     vertex would belong to both sides), so it is kept whole, as a rejected
-    split is.
+    split is.  The whole workflow is judged on ``origin``, its gateway.
     """
-    slacks = request.slacks
     types = w.topo_order
     root_p = prob_on_time(
-        model.end_to_end(types, request.origin_fog, 0),
+        model.end_to_end(types, origin, 0),
         left_sum(slacks[v] for v in types),
     )
     if root_p >= cfg.alpha or len(w.vertices) == 1:
@@ -343,7 +344,8 @@ def build_plan(
     cfg: PartitionConfig,
     w: WorkflowSpec,
     model: CompletionModel,
-    request: Request,
+    origin: int,
+    slacks: Mapping[str, float],
 ) -> PartitionPlan:
     """Dispatch on the configured method."""
     if cfg.method == "no_partition":
@@ -352,7 +354,7 @@ def build_plan(
         return baseline_mincut(w)
     if cfg.method == "least_data":
         return baseline_least_data(w)
-    return propart(w, model, request, cfg)
+    return propart(w, model, origin, slacks, cfg)
 
 
 # ----------------------------------------------------------------- validation

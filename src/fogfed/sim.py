@@ -1,17 +1,17 @@
 """Deterministic discrete-event simulation of a fog federation.
 
 One engine instance per run.  Requests arrive at a gateway fog, get
-partitioned (one plan per shape, gateway and slacks mapping) and
-allocated, then execute as micro-service instances on FIFO-queued fog
-nodes.  Actual execution and transfer durations are sampled from the
-same PMFs the estimators use, and no scenario field can inject a
-mismatch between the two yet, so every allocator decides with exact
-knowledge of the distributions it meets.  Each execution and transfer
-time takes the next uniform of the run's one ``[seed, 1]`` stream, in
-event order; the stream is read in blocks (see ``_Uniforms``), which
-changes no draw.  So two methods whose events come in different orders
-draw different times: giving every method the same draws (common random
-numbers) is a separate change, and it moves every digest.
+partitioned (one plan per shape and gateway) and allocated, then execute
+as micro-service instances on FIFO-queued fog nodes.  Actual execution
+and transfer durations are sampled from the same PMFs the estimators
+use, and no scenario field can inject a mismatch between the two yet, so
+every allocator decides with exact knowledge of the distributions it
+meets.  Each execution and transfer time takes the next uniform of the
+run's one ``[seed, 1]`` stream, in event order; the stream is read in
+blocks (see ``_Uniforms``), which changes no draw.  So two methods whose
+events come in different orders draw different times: giving every
+method the same draws (common random numbers) is a separate change, and
+it moves every digest.
 
 Only the work a run's events cause is paid per event.  Arrivals are an
 exogenous stream known in advance, so they are merged in time order from
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from json.encoder import encode_basestring_ascii as _json_str
 from operator import attrgetter
+from types import MappingProxyType
 
 import numpy as np
 
@@ -61,7 +62,6 @@ from .federation import (
 from .model import (  # noqa: F401
     DeadlinePolicy,
     Request,
-    StageSlacks,
     WorkflowSpec,
     assign_deadlines,
     service_slacks,
@@ -121,20 +121,19 @@ class WorkloadSpec:
 class Context:
     """One (scenario, degree) cell: its federation, tables and shared caches.
 
-    Built once per cell and read by every run of it.  The constructor
-    derives the completion model, each type's mean exec time (the E_i of
-    deadlines), each template's (workflow, monolithic) shape pair, the hop
-    table (``hops[a][b]`` is ``hop_distance`` from fog ``a`` to fog ``b``)
-    and the plan cache.  ``plans`` maps a partition config to
-    ``{(id(spec), origin, id(slacks)): _PlanEntry}``: a ``propart`` plan
-    weighs its splits against the request's slacks, and no plan depends on
-    the load.  Each entry holds its spec and slacks, which keeps their ids
-    unique, so requests share a plan only when they share a slacks
-    mapping, as those of one shape share ``shape_slacks``.
-    ``slacks`` maps ``id(spec)`` to ``(spec, StageSlacks)`` the same way;
-    see ``shape_slacks``.  ``memo`` is the sweep memo (see
-    ``fogfed.dist``) the completion model convolves through; a context
-    built without one gets a private one.
+    Built once per cell and read by every run of it.  The constructor derives
+    the completion model, each type's mean exec time (the E_i of deadlines),
+    each template's (workflow, monolithic) shape pair, the hop table
+    (``hops[a][b]`` is ``hop_distance`` from fog ``a`` to fog ``b``) and the
+    plan cache.  The context alone owns slacks, which depend only on the
+    shape, the deadline policy and the ETC.  ``slacks`` maps ``id(spec)`` to
+    ``(spec, read-only slacks)``; see ``shape_slacks``.  ``plans`` maps a
+    partition config to ``{(id(spec), origin): _PlanEntry}``: a ``propart``
+    plan weighs its splits against the shape's slacks, and no plan depends on
+    the load.  ``slacks`` holds every planned spec, which keeps the ids of
+    both caches unique.  ``memo`` is the sweep memo (see ``fogfed.dist``) the
+    completion model convolves through; a context built without one gets a
+    private one.
     """
 
     topo: FederationTopology
@@ -174,8 +173,8 @@ class Context:
         for name, value in derived.items():
             object.__setattr__(self, name, value)
 
-    def shape_slacks(self, spec: WorkflowSpec) -> StageSlacks:
-        """Read-only ``service_slacks`` of ``spec``, computed and checked once.
+    def shape_slacks(self, spec: WorkflowSpec) -> Mapping[str, float]:
+        """Read-only ``service_slacks`` of ``spec``, computed once.
 
         Computed on first use rather than in the constructor: a context
         may hold a shape its ETC has no entry for, such as a monolithic
@@ -184,7 +183,7 @@ class Context:
         hit = self.slacks.get(id(spec))
         if hit is None:
             slacks = service_slacks(spec, self.policy, self.mean_exec)
-            hit = (spec, StageSlacks(slacks))
+            hit = (spec, MappingProxyType(slacks))
             self.slacks[id(spec)] = hit
         return hit[1]
 
@@ -205,6 +204,11 @@ class RunConfig:
         if self.alloc_method not in ALLOC_METHODS:
             raise ValueError(
                 f"unknown allocation method {self.alloc_method!r}"
+            )
+        # written so that a NaN fails it
+        if not 0.0 < self.ci_level < 1.0:
+            raise ValueError(
+                f"ci_level must lie in (0, 1), got {self.ci_level}"
             )
 
 
@@ -252,11 +256,11 @@ def generate_workload(
     order statistics, so the window is filled with sorted uniform draws.
     The monolithic flag interleaves deterministically at the given mix:
     request ``i`` is monolithic when ``floor((i + 1) * mix)`` exceeds
-    ``floor(i * mix)``, the previous request's upper floor.  Requests of
-    one shape share the context's slacks mapping, and each deadline is the
-    arrival plus that mapping's total, as in ``assign_deadlines``.  A
-    drawn shape whose types the context's ETC lacks (a context built for
-    another mix) raises ``ValueError`` naming the first of them.
+    ``floor(i * mix)``, the previous request's upper floor.  Each deadline
+    is the arrival plus the total of the shape's ``shape_slacks``, as in
+    ``assign_deadlines``; a request carries no slacks of its own.  A drawn
+    shape whose types the context's ETC lacks (a context built for another
+    mix) raises ``ValueError`` naming the first of them.
     """
     rng = np.random.default_rng([seed, 0])
     arrivals = np.sort(rng.uniform(0.0, spec.window_ms, spec.total_requests))
@@ -264,7 +268,7 @@ def generate_workload(
     n_shapes = len(shapes)
     mix = spec.mix
     origin = ctx.origin_fog
-    # (kind, shape, slacks, slack total) per (template, monolithic) slot,
+    # (kind, shape, slack total) per (template, monolithic) slot,
     # filled on first use: a context may hold a shape its ETC lacks, such
     # as a monolithic shape no request takes at mix 0
     stamps = [None] * (2 * n_shapes)
@@ -286,26 +290,20 @@ def generate_workload(
                         f"workload mix {mix} draws {kind} shapes, but the "
                         f"context's ETC has no entry for {v.id!r}"
                     )
-            slacks = ctx.shape_slacks(shape)
-            stamp = stamps[slot] = (
-                kind,
-                shape,
-                slacks,
-                left_sum(slacks.values()),
-            )
-        kind, shape, slacks, total = stamp
-        # id, arrival_ms, kind, spec, origin_fog, workflow_deadline, slacks
+            total = left_sum(ctx.shape_slacks(shape).values())
+            stamp = stamps[slot] = (kind, shape, total)
+        kind, shape, total = stamp
+        # id, arrival_ms, kind, spec, origin_fog, workflow_deadline
         requests.append(
-            Request(i, arrival, kind, shape, origin, arrival + total, slacks)
+            Request(i, arrival, kind, shape, origin, arrival + total)
         )
     return requests
 
 
 def partition_deadlines(
-    plan: PartitionPlan, request: Request
+    plan: PartitionPlan, slacks: Mapping[str, float]
 ) -> tuple[float, ...]:
     """Arrival-relative budget of each partition: sum of member slacks."""
-    slacks = request.slacks
     return tuple(
         left_sum(slacks[v.id] for v in p.vertices)
         for p in plan.partitions
@@ -316,15 +314,14 @@ def partition_deadlines(
 class _PlanEntry:
     """One plan of ``Context.plans`` and what every request of it reads.
 
-    ``budgets`` is the plan's ``partition_deadlines`` and ``issues`` the
-    number of its ``validate_plan`` issues.  ``vertices`` holds, in spec
+    ``plan`` and ``budgets`` (its ``partition_deadlines``) weigh the
+    shape's ``shape_slacks``; ``issues`` is the number of its
+    ``validate_plan`` issues.  ``vertices`` holds, in spec
     order, each vertex's id, partition index and predecessor count.
     ``links`` holds ``(i, successor indices)`` of each vertex with
     successors, indices into ``vertices`` in sorted successor order.
     """
 
-    spec: WorkflowSpec
-    slacks: Mapping[str, float]
     plan: PartitionPlan
     budgets: tuple[float, ...]
     issues: int
@@ -334,10 +331,10 @@ class _PlanEntry:
 
 
 def _plan_entry(
-    cfg: PartitionConfig, model: CompletionModel, request: Request
+    cfg: PartitionConfig, ctx: Context, spec: WorkflowSpec, origin: int
 ) -> _PlanEntry:
-    spec = request.spec
-    plan = build_plan(cfg, spec, model=model, request=request)
+    slacks = ctx.shape_slacks(spec)
+    plan = build_plan(cfg, spec, model=ctx.model, origin=origin, slacks=slacks)
     issues = len(validate_plan(plan, spec))
     part_of = {
         v.id: i for i, p in enumerate(plan.partitions) for v in p.vertices
@@ -352,10 +349,8 @@ def _plan_entry(
         if successors:
             links.append((index[v.id], tuple(index[s] for s in successors)))
     return _PlanEntry(
-        spec,
-        request.slacks,
         plan,
-        partition_deadlines(plan, request),
+        partition_deadlines(plan, slacks),
         issues,
         tuple((v.id, part_of[v.id], n_preds[v.id]) for v in spec.vertices),
         tuple(links),
@@ -452,16 +447,16 @@ class _Engine:
         return QueueEstimate(waits)
 
     def _plan_for(self, request: Request) -> _PlanEntry:
-        """The plan entry of the request's shape, gateway and slacks.
+        """The plan entry of the request's shape and gateway.
 
         Every arrival counts its plan's issues, as every ``mr`` decision
         counts its own.
         """
-        key = (id(request.spec), request.origin_fog, id(request.slacks))
+        key = (id(request.spec), request.origin_fog)
         entry = self._plans.get(key)
         if entry is None:
             entry = self._plans[key] = _plan_entry(
-                self.cfg.partition_cfg, self.ctx.model, request
+                self.cfg.partition_cfg, self.ctx, request.spec, key[1]
             )
         self.plan_violations += entry.issues
         return entry

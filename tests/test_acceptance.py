@@ -213,38 +213,33 @@ def test_partition_trace_contract(fig5_sweep, fig7_sweep, fig11_sweep, fig12_swe
     model = ctx.model
     accepted = rolled_back = 0
     for tmpl in ctx.templates:
-        for rid, arrival in enumerate((0.0, 7.0, 19.0)):
-            req = assign_deadlines(
-                tmpl,
-                arrival,
-                service_slacks(tmpl, ctx.policy, ctx.mean_exec),
-                request_id=rid,
-                origin_fog=ctx.origin_fog,
-            )
-            plan = build_plan(
-                PartitionConfig(alpha=0.5, method="propart"),
-                tmpl,
-                model=model,
-                request=req,
-            )
-            assert validate_plan(plan, tmpl) == []
-            for d in plan.trace:
-                improves = d.p_s > d.parent_p and d.p_t > d.parent_p
-                assert d.accepted == improves
-                accepted += d.accepted
-                rolled_back += not d.accepted
-            if plan.root_p >= 0.5:
-                assert len(plan.partitions) == 1
-                assert plan.trace == ()
-            # alpha 0 always accepts the whole workflow on the local path
-            plan0 = build_plan(
-                PartitionConfig(alpha=0.0, method="propart"),
-                tmpl,
-                model=model,
-                request=req,
-            )
-            assert len(plan0.partitions) == 1
-            assert plan0.trace == ()
+        slacks = ctx.shape_slacks(tmpl)
+        plan = build_plan(
+            PartitionConfig(alpha=0.5, method="propart"),
+            tmpl,
+            model=model,
+            origin=ctx.origin_fog,
+            slacks=slacks,
+        )
+        assert validate_plan(plan, tmpl) == []
+        for d in plan.trace:
+            improves = d.p_s > d.parent_p and d.p_t > d.parent_p
+            assert d.accepted == improves
+            accepted += d.accepted
+            rolled_back += not d.accepted
+        if plan.root_p >= 0.5:
+            assert len(plan.partitions) == 1
+            assert plan.trace == ()
+        # alpha 0 always accepts the whole workflow on the local path
+        plan0 = build_plan(
+            PartitionConfig(alpha=0.0, method="propart"),
+            tmpl,
+            model=model,
+            origin=ctx.origin_fog,
+            slacks=slacks,
+        )
+        assert len(plan0.partitions) == 1
+        assert plan0.trace == ()
     assert accepted > 0
     _verdict(
         "partition trace contract",

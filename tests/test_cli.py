@@ -911,7 +911,7 @@ def test_suites_listing_stable(capsys):
     assert "loads=400,600,800,1000" in first
 
 
-def test_console_entry_point_installed():
+def test_python_m_fogfed_cli_lists_suites():
     out = subprocess.run(
         [sys.executable, "-m", "fogfed.cli", "suites"],
         capture_output=True,

@@ -11,7 +11,6 @@ from fogfed.model import (
     APP_NAMES,
     Edge,
     MicroServiceSpec,
-    Request,
     WorkflowSpec,
     builtin_app,
     to_monolithic,
@@ -168,20 +167,16 @@ def _model_two_fogs(types, slow_ms, fast_ms):
     return CompletionModel(EtcMatrix(1.0, entries, specs))
 
 
-def _request(w, slack_per_vertex, arrival=0.0):
-    slacks = {v.id: slack_per_vertex for v in w.vertices}
-    total = slack_per_vertex * len(w.vertices)
-    return Request(
-        0, arrival, "workflow", w, 0, arrival + total, slacks
-    )
+def _slacks(w, slack_per_vertex):
+    return {v.id: slack_per_vertex for v in w.vertices}
 
 
 class TestProPart:
     def test_alpha_gate_keeps_whole(self):
         w = _chain(["a", "b", "c", "d"])
         model = _model_two_fogs([v.id for v in w.vertices], 10.0, 10.0)
-        req = _request(w, 50.0)  # local: 40ms vs 200 budget -> P=1
-        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
+        slacks = _slacks(w, 50.0)  # local: 40ms vs 200 budget -> P=1
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.5))
         assert len(plan.partitions) == 1
         assert plan.root_p == 1.0
         assert plan.trace == ()
@@ -190,16 +185,16 @@ class TestProPart:
     def test_alpha_zero_never_splits(self):
         w = _chain(["a", "b", "c", "d"])
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
-        req = _request(w, 50.0)  # local P=0, but alpha=0 accepts anything
-        plan = propart(w, model, req, PartitionConfig(alpha=0.0))
+        slacks = _slacks(w, 50.0)  # local P=0, but alpha=0 accepts anything
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.0))
         assert len(plan.partitions) == 1
         assert validate_plan(plan, w) == []
 
     def test_single_vertex_final(self):
         w = WorkflowSpec("t", _vs("a"), ())
         model = _model_two_fogs(["a"], 100.0, 10.0)
-        req = _request(w, 50.0)
-        plan = propart(w, model, req, PartitionConfig(alpha=0.99))
+        slacks = _slacks(w, 50.0)
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.99))
         assert len(plan.partitions) == 1
 
     def test_side_with_an_isolated_vertex_stays_whole(self):
@@ -208,8 +203,8 @@ class TestProPart:
         vs = _vs("a", "b", "c")
         w = WorkflowSpec("t", vs, (("a", "b"), ("a", "c")))
         model = _model_two_fogs(["a", "b", "c"], 100.0, 10.0)
-        req = _request(w, 50.0)
-        plan = propart(w, model, req, PartitionConfig(alpha=0.9))
+        slacks = _slacks(w, 50.0)
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.9))
         assert validate_plan(plan, w) == []
         assert [tuple(v.id for v in p.vertices) for p in plan.partitions] == [
             ("a",), ("b", "c")
@@ -220,8 +215,8 @@ class TestProPart:
     def test_improving_split_accepted(self):
         w = _chain(["a", "b", "c", "d"])
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
-        req = _request(w, 50.0)
-        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
+        slacks = _slacks(w, 50.0)
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.5))
         assert plan.root_p == 0.0
         assert len(plan.partitions) == 2
         assert [len(p.vertices) for p in plan.partitions] == [1, 3]
@@ -248,8 +243,8 @@ class TestProPart:
         w = _chain(["a", "b", "c", "d"])
         # both fogs hopeless: every side stays at P=0
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 100.0)
-        req = _request(w, 50.0)
-        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
+        slacks = _slacks(w, 50.0)
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.5))
         assert len(plan.partitions) == 1
         assert len(plan.trace) == 1
         assert not plan.trace[0].accepted
@@ -258,8 +253,8 @@ class TestProPart:
     def test_precedence_order(self):
         w = _chain(["a", "b", "c", "d"])
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
-        req = _request(w, 50.0)
-        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
+        slacks = _slacks(w, 50.0)
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.5))
         seen = []
         for p in plan.partitions:
             seen.extend(v.id for v in p.vertices)
@@ -268,8 +263,8 @@ class TestProPart:
     def test_pinned_partition_flagged(self):
         w = builtin_app("fire")
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
-        req = _request(w, 50.0)
-        plan = propart(w, model, req, PartitionConfig(alpha=0.5))
+        slacks = _slacks(w, 50.0)
+        plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.5))
         assert plan.must_run_local[0]
         assert not any(plan.must_run_local[1:])
 
@@ -278,12 +273,12 @@ class TestProPart:
         a shared model that earlier plans warmed gives a fresh one's plan."""
         w = _chain(["a", "b", "c", "d"])
         shared = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
-        req = _request(w, 50.0)
+        slacks = _slacks(w, 50.0)
         cfg = PartitionConfig(alpha=0.5)
-        propart(w.induced({"b", "c", "d"}), shared, req, cfg)
-        warm = propart(w, shared, req, cfg)
-        again = propart(w, shared, req, cfg)
-        fresh = propart(w, CompletionModel(shared.etc), req, cfg)
+        propart(w.induced({"b", "c", "d"}), shared, 0, slacks, cfg)
+        warm = propart(w, shared, 0, slacks, cfg)
+        again = propart(w, shared, 0, slacks, cfg)
+        fresh = propart(w, CompletionModel(shared.etc), 0, slacks, cfg)
         assert fresh.trace
         for plan in (warm, again):
             assert plan.partitions == fresh.partitions
@@ -302,11 +297,11 @@ class TestProPart:
 
         w = _chain(["a", "b", "c", "d"])
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
-        req = _request(w, 50.0)
+        slacks = _slacks(w, 50.0)
         enabled = gc.isenabled()
         gc.disable()
         try:
-            plan = propart(w, model, req, PartitionConfig(alpha=0.5))
+            plan = propart(w, model, 0, slacks, PartitionConfig(alpha=0.5))
             assert len(plan.trace) >= 2  # the search went below the root
             ref = weakref.ref(model)
             del model
@@ -329,10 +324,10 @@ class TestProPart:
                     entries[(t, fog)] = point_mass(ms, 1.0)
                     specs[(t, fog)] = NormalSpec(ms, 0.0)
             etc = EtcMatrix(1.0, entries, specs)
-            req = _request(w, float(rng.integers(10, 40)))
+            slacks = _slacks(w, float(rng.integers(10, 40)))
             cfg = PartitionConfig(alpha=0.9)
-            got = propart(w, CompletionModel(etc), req, cfg)
-            want = reference_propart(w, CompletionModel(etc), req, cfg)
+            got = propart(w, CompletionModel(etc), 0, slacks, cfg)
+            want = reference_propart(w, CompletionModel(etc), 0, slacks, cfg)
             assert _plan_key(got) == _plan_key(want)
             accepted += sum(d.accepted for d in got.trace)
         assert accepted > 10
@@ -346,12 +341,11 @@ def _plan_key(plan):
     )
 
 
-def reference_propart(w, model, request, cfg):
+def reference_propart(w, model, origin, slacks, cfg):
     """``propart`` as a recursive descent: side s, then side t."""
-    slacks = request.slacks
     types = w.topo_order
     root_p = prob_on_time(
-        model.end_to_end(types, request.origin_fog, 0),
+        model.end_to_end(types, origin, 0),
         sum(slacks[v] for v in types),
     )
     if root_p >= cfg.alpha or len(w.vertices) == 1:
@@ -464,22 +458,24 @@ class TestBaselines:
     def test_build_plan_dispatch(self):
         w = builtin_app("oil")
         model = _model_two_fogs([v.id for v in w.vertices], 100.0, 10.0)
-        req = _request(w, 50.0)
+        slacks = _slacks(w, 50.0)
         for method, parts in (
             ("no_partition", 1),
             ("min_cut", 2),
             ("least_data", 2),
         ):
-            plan = build_plan(PartitionConfig(method=method), w, model, req)
+            plan = build_plan(
+                PartitionConfig(method=method), w, model, 0, slacks
+            )
             assert plan.method == method
             assert len(plan.partitions) == parts
             assert validate_plan(plan, w) == []
         cfg = PartitionConfig(method="propart")
-        plan = build_plan(cfg, w, model, req)
-        assert plan.partitions == propart(w, model, req, cfg).partitions
+        plan = build_plan(cfg, w, model, 0, slacks)
+        assert plan.partitions == propart(w, model, 0, slacks, cfg).partitions
 
     def test_build_plan_propart_needs_inputs(self):
-        # every method takes the model and request the engine passes
+        # every method takes the model, gateway and slacks the engine passes
         w = builtin_app("oil")
         with pytest.raises(TypeError):
             build_plan(PartitionConfig(method="propart"), w)

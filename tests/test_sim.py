@@ -2,7 +2,6 @@ import dataclasses
 import functools
 import json
 import math
-from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ from fogfed.model import (
 from fogfed.partition import (
     PartitionConfig,
     baseline_mincut,
-    build_plan,
     no_partition,
 )
 from fogfed.sim import (
@@ -184,6 +182,19 @@ def test_nan_or_negative_values_rejected(build):
 def test_run_config_rejects_unknown_allocator():
     with pytest.raises(ValueError):
         make_cfg([unit_app()], alloc="greedy")
+
+
+@pytest.mark.parametrize("alloc", ALLOC_METHODS)
+def test_run_config_rejects_a_ci_level_outside_zero_one(alloc):
+    # refused where the config is built: unchecked, 1.5 lets mect run to
+    # the end while mr fails at its first decision, mid-run
+    cfg = make_cfg([unit_app()], alloc=alloc)
+    assert run(cfg, seed=1).requests == 1
+    for level in (1.5, 1.0, 0.0, -0.5, math.nan, math.inf):
+        with pytest.raises(
+            ValueError, match=r"^ci_level must lie in \(0, 1\), got "
+        ):
+            dataclasses.replace(cfg, ci_level=level)
 
 
 def _readme_config(mix):
@@ -354,10 +365,6 @@ def test_workload_requests_equal_hand_stamped_ones(app_context):
         assert r.spec is want.spec
         # bit-equal floats, not merely close ones
         assert r.workflow_deadline.hex() == want.workflow_deadline.hex()
-        assert list(r.slacks) == list(want.slacks)
-        assert [v.hex() for v in r.slacks.values()] == [
-            v.hex() for v in want.slacks.values()
-        ]
 
 
 def test_workload_at_mix_zero_never_reads_the_monolithic_shape():
@@ -381,22 +388,11 @@ def test_workload_shares_one_read_only_slacks_per_shape(app_context):
     )
     by_spec = {}
     for r in reqs:
-        assert by_spec.setdefault(id(r.spec), r.slacks) is r.slacks
+        slacks = app_context.shape_slacks(r.spec)
+        assert by_spec.setdefault(id(r.spec), slacks) is slacks
     assert len(by_spec) == 8  # four apps, each as workflow and monolithic
     with pytest.raises(TypeError):
-        reqs[0].slacks["fire.capture"] = 0.0
-
-
-def test_nan_slack_fails_where_the_shape_slacks_are_built():
-    # a NaN epsilon passes DeadlinePolicy; the shape's slacks are checked
-    # once when built, before any request of the shape is stamped
-    cfg = make_cfg(
-        [unit_app()], total=3, policy=DeadlinePolicy(epsilon_ms=math.nan)
-    )
-    with pytest.raises(ValueError, match="slack"):
-        cfg.ctx.shape_slacks(cfg.ctx.shapes[0][0])
-    with pytest.raises(ValueError, match="slack"):
-        generate_workload(cfg.workload, 1, cfg.ctx)
+        app_context.shape_slacks(reqs[0].spec)["fire.capture"] = 0.0
 
 
 # -------------------------------------------------------- partition budgets
@@ -405,15 +401,14 @@ def test_nan_slack_fails_where_the_shape_slacks_are_built():
 def test_partition_deadlines_cover_whole_budget(app_context):
     fire = app_context.templates[0]
     policy = DeadlinePolicy(epsilon_ms=15.0, mean_comm_ms=20.0)
-    req = assign_deadlines(
-        fire, 100.0, service_slacks(fire, policy, app_context.mean_exec)
-    )
+    slacks = service_slacks(fire, policy, app_context.mean_exec)
+    req = assign_deadlines(fire, 100.0, slacks)
     whole = no_partition(fire)
-    budgets = partition_deadlines(whole, req)
+    budgets = partition_deadlines(whole, slacks)
     assert len(budgets) == 1
     assert budgets[0] == pytest.approx(req.workflow_deadline - 100.0)
     split = baseline_mincut(fire)
-    parts = partition_deadlines(split, req)
+    parts = partition_deadlines(split, slacks)
     assert len(parts) == len(split.partitions)
     assert sum(parts) == pytest.approx(req.workflow_deadline - 100.0)
 
@@ -436,9 +431,9 @@ def _spy_budgets(monkeypatch):
         return original_mr(plan, local, topo, etc, ett, queues, deadlines,
                            *a, **k)
 
-    def budgets(plan, request):
-        calls.append(request)
-        return original_budgets(plan, request)
+    def budgets(plan, slacks):
+        calls.append(slacks)
+        return original_budgets(plan, slacks)
 
     original_mr = sim.allocate_mr
     monkeypatch.setattr(sim._Engine, "_allocate", allocate)
@@ -457,28 +452,10 @@ def test_engine_budgets_equal_partition_deadlines(monkeypatch, method):
     run(_cell_config(sc, ctx, method, 100), seed=17)
     assert len(seen) == 100
     for plan, request, budgets in seen:
-        assert budgets == partition_deadlines(plan, request)
+        slacks = ctx.shape_slacks(request.spec)
+        assert budgets == partition_deadlines(plan, slacks)
     # computed once per (shape, origin) of the run, not once per request
     assert len(calls) <= 2 * len(ctx.shapes)
-
-
-def test_engine_budgets_follow_each_requests_own_slacks(monkeypatch):
-    cfg = make_cfg([unit_app()], node_count=2, fixed_mips=2000.0, alloc="mr")
-    spec = cfg.ctx.templates[0]
-    shared = {"unit.stage": 30.0}
-    reqs = [
-        Request(0, 0.0, "workflow", spec, 0, 170.0, {"unit.stage": 170.0}),
-        Request(1, 1.0, "workflow", spec, 0, 31.0, {"unit.stage": 30.0}),
-        Request(2, 2.0, "workflow", spec, 0, 32.0, shared),
-        Request(3, 3.0, "workflow", spec, 0, 33.0, shared),
-    ]
-    seen, calls = _spy_budgets(monkeypatch)
-    simulate_requests(cfg, reqs, seed=1)
-    assert [budgets for _p, _r, budgets in seen] == [
-        (170.0,), (30.0,), (30.0,), (30.0,)
-    ]
-    # one computation per distinct slacks mapping
-    assert [r.id for r in calls] == [0, 1, 2]
 
 
 # ------------------------------------------------------------ plan entries
@@ -493,78 +470,71 @@ def _fig5_propart(mix=0.0):
     return _cell_config(sc, _build_context(sc, None), "propart", 100)
 
 
-def test_each_request_gets_the_plan_built_for_its_own_slacks(monkeypatch):
-    # propart weighs a split against the request's slacks: fire splits in
-    # two under its shape's slacks and stays whole under ten times them
-    import fogfed.sim as sim
-
-    cfg = _fig5_propart()
-    ctx = cfg.ctx
-    spec = next(t for t in ctx.templates if t.app == "fire")
-    shared = ctx.shape_slacks(spec)
-    loose = {k: 10.0 * v for k, v in shared.items()}
-    reqs = [
-        Request(i, float(i), "workflow", spec, ctx.origin_fog,
-                i + sum(slacks.values()), slacks)
-        for i, slacks in enumerate((shared, loose, shared))
-    ]
-    handed = []
-    original = sim.allocate_mr
-
-    def allocate_mr(plan, *args, **kwargs):
-        handed.append(plan)
-        return original(plan, *args, **kwargs)
-
-    monkeypatch.setattr(sim, "allocate_mr", allocate_mr)
-    simulate_requests(cfg, reqs, seed=1)
-
-    def parts(plan):
-        return [[v.id for v in p.vertices] for p in plan.partitions]
-
-    own = [
-        build_plan(cfg.partition_cfg, spec, model=ctx.model, request=r)
-        for r in reqs
-    ]
-    assert [len(p.partitions) for p in own] == [2, 1, 2]
-    assert [parts(p) for p in handed] == [parts(p) for p in own]
-    assert [p.root_p for p in handed] == [p.root_p for p in own]
-
-
-def test_two_runs_plan_check_and_budget_once_per_shape_gateway_slacks(
-    monkeypatch,
-):
+def test_two_runs_plan_check_and_budget_once_per_shape_gateway(monkeypatch):
     import fogfed.sim as sim
 
     calls = {"build_plan": [], "validate_plan": [], "partition_deadlines": []}
 
-    def key(request):
-        return (id(request.spec), request.origin_fog, id(request.slacks))
-
     def build(cfg, w, **kwargs):
-        calls["build_plan"].append(key(kwargs["request"]))
+        calls["build_plan"].append((id(w), kwargs["origin"]))
         return original["build_plan"](cfg, w, **kwargs)
 
     def check(plan, w):
         calls["validate_plan"].append(id(w))
         return original["validate_plan"](plan, w)
 
-    def budgets(plan, request):
-        calls["partition_deadlines"].append(key(request))
-        return original["partition_deadlines"](plan, request)
+    def budgets(plan, slacks):
+        calls["partition_deadlines"].append(id(slacks))
+        return original["partition_deadlines"](plan, slacks)
 
     original = {name: getattr(sim, name) for name in calls}
     for name, spy in zip(calls, (build, check, budgets)):
         monkeypatch.setattr(sim, name, spy)
     cfg = _fig5_propart(mix=0.3)
-    keys = set()
+    ctx = cfg.ctx
+    shapes = {}
     for seed in (3, 4):
-        keys |= {key(r) for r in generate_workload(cfg.workload, seed, cfg.ctx)}
+        for r in generate_workload(cfg.workload, seed, ctx):
+            shapes[(id(r.spec), r.origin_fog)] = r.spec
         run(cfg, seed)
     # each shape of the mix, workflow and monolithic, at the one gateway
-    assert len(keys) == 2 * len(cfg.ctx.templates)
-    assert sorted(calls["build_plan"]) == sorted(keys)
-    assert sorted(calls["partition_deadlines"]) == sorted(keys)
-    assert sorted(calls["validate_plan"]) == sorted(k[0] for k in keys)
+    assert len(shapes) == 2 * len(ctx.templates)
+    assert sorted(calls["build_plan"]) == sorted(shapes)
+    assert sorted(calls["partition_deadlines"]) == sorted(
+        id(ctx.shape_slacks(spec)) for spec in shapes.values()
+    )
+    assert sorted(calls["validate_plan"]) == sorted(k[0] for k in shapes)
+
+
+def test_hand_built_requests_of_one_shape_share_one_plan_entry(monkeypatch):
+    # a plan belongs to its (shape, gateway): requests stamped from fresh
+    # slacks mappings of one shape build one plan, not one each
+    import fogfed.sim as sim
+
+    cfg = make_cfg(
+        [_two_stage_chain()], width=2, height=1, alloc="mr",
+        partition_method="propart",
+    )
+    ctx = cfg.ctx
+    spec = ctx.templates[0]
+    built = []
+    original = sim.build_plan
+
+    def build(cfg, w, **kwargs):
+        built.append(w)
+        return original(cfg, w, **kwargs)
+
+    monkeypatch.setattr(sim, "build_plan", build)
+    reqs = [
+        assign_deadlines(
+            spec, t, service_slacks(spec, ctx.policy, ctx.mean_exec),
+            request_id=i,
+        )
+        for i, t in enumerate((0.0, 5.0, 9.0))
+    ]
+    assert simulate_requests(cfg, reqs, seed=1).requests == 3
+    assert built == [spec]
+    assert list(ctx.plans[cfg.partition_cfg]) == [(id(spec), ctx.origin_fog)]
 
 
 def test_plan_violations_count_every_arrival(monkeypatch):
@@ -601,35 +571,11 @@ def test_single_request_impossible_deadline_misses():
         spec=unit_app(),
         origin_fog=0,
         workflow_deadline=10.5,
-        slacks={"unit.stage": 0.5},
     )
     report = simulate_requests(cfg, [req], seed=1)
     assert report.meet_rate == 0.0
     assert report.missed == 1
     assert report.avg_makespan_ms == 100.0
-
-
-@pytest.mark.parametrize("alloc", ALLOC_METHODS)
-def test_request_without_a_stage_slack_never_reaches_the_engine(alloc):
-    """A plain slacks mapping must hold every stage of the spec: without
-    one, the request is refused where it is built, naming the first missing
-    stage, rather than failing in a run's plan entry under ``alloc``."""
-    spec = _two_stage_chain()
-    cfg = make_cfg(
-        [spec], width=2, height=1, alloc=alloc, partition_method="min_cut"
-    )
-    full = {"chain.a": 300.0, "chain.b": 500.0}
-    ok = Request(0, 1.0, "workflow", spec, 0, 801.0, full)
-    assert simulate_requests(cfg, [ok], seed=1).requests == 1
-    for slacks, missing in (
-        ({}, "chain.a"),
-        ({"chain.b": 500.0}, "chain.a"),
-        ({"chain.a": 300.0}, "chain.b"),
-    ):
-        with pytest.raises(
-            ValueError, match=f"^no service slack for stage '{missing}'$"
-        ):
-            Request(0, 1.0, "workflow", spec, 0, 801.0, slacks)
 
 
 def test_fifo_single_node_hand_schedule():
@@ -855,9 +801,7 @@ def reference_record(now, request, d, scenario, method, seed) -> dict:
 
 
 def _trace_request(app="fire", request_id=0, kind="workflow"):
-    spec = unit_app(name=app)
-    slacks = MappingProxyType({v.id: 100.0 for v in spec.vertices})
-    return Request(request_id, 0.0, kind, spec, 0, 100.0, slacks)
+    return Request(request_id, 0.0, kind, unit_app(name=app), 0, 100.0)
 
 
 def _assert_line_is_reference(now, request, d, scenario, method, seed):
@@ -1418,6 +1362,8 @@ def test_no_instance_outlives_its_run_without_the_cyclic_collector(
         window=2000.0, partition_method="min_cut",
     )
 
+    # counted against the instances alive before each run: a failed
+    # test's traceback, which pytest keeps, may hold another run's
     def live_instances():
         return sum(type(o) is sim._Instance for o in gc.get_objects())
 
@@ -1427,7 +1373,7 @@ def test_no_instance_outlives_its_run_without_the_cyclic_collector(
     # every execution ends in this event, whether or not a queue is waiting
     def watch(engine, inst):
         if len(engine._completions) == 20 and not seen[-1]:
-            seen[-1] = live_instances()
+            seen[-1] = live_instances() - before
         exec_done(engine, inst)
 
     monkeypatch.setattr(sim._Engine, "_on_exec_done", watch)
@@ -1438,9 +1384,10 @@ def test_no_instance_outlives_its_run_without_the_cyclic_collector(
             run_cfg = dataclasses.replace(cfg, alloc_method=alloc)
             requests = generate_workload(run_cfg.workload, 5, run_cfg.ctx)
             seen.append(0)
+            before = live_instances()
             sim._Engine(run_cfg, 5).run(requests, 5)
             assert seen[-1] > 0, alloc  # mid-run, the count sees instances
-            assert live_instances() == 0, alloc
+            assert live_instances() == before, alloc
     finally:
         if enabled:
             gc.enable()
