@@ -755,7 +755,17 @@ def main(argv=None) -> int:
     p_ls.set_defaults(func=cmd_suites)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        # a reader that closed the pipe shows here, not at shutdown
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # as Python's signal docs advise: point stdout at devnull so the
+        # interpreter's own flush on exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

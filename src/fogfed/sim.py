@@ -731,6 +731,7 @@ def _trace_stamp(scenario: str, method: str, seed: int) -> str:
 
 
 _BOOL = ("false", "true")
+_INF = math.inf
 _CANDIDATE = (
     '{"blocked": %s, "ci": [%s, %s], "fog": %d, "hops": %d, "in_f": %s, '
     '"mean_ms": %s, "p": %s}'
@@ -767,15 +768,32 @@ def _decision_line(
 
     The line is one ``%`` of a template built with its arguments: one
     fragment per candidate, with or without a CI, joined between a fixed
-    head and tail.  Floats go through ``%s`` after ``float()``, which
-    spells a finite float as ``json.dumps`` does; a probability of exactly
-    0 or 1 needs no rounding.
-    ``%s`` spells a non-finite float ``inf`` or ``nan``, so a line holding
-    either text is filled again with each argument passed through
-    ``_json_number``.
+    head and tail.
+
+    Each rounded number is converted once, inline: ``"%.3f" % x`` (``"%.6f"``
+    for a probability) with its trailing zeros trimmed, one ``0`` kept
+    after the point.  That is ``json.dumps(round(x, 3))`` wherever
+    ``-1e12 < x < 1e12`` (``round(p, 6)`` wherever ``1e-4 <= p < 1e9``):
+    ``%f`` and ``round`` take the same correctly rounded decimal; inside the
+    guards it has at most 15 significant digits, so no other decimal of at
+    most that many reads back as the same double, and it is the shortest
+    ``repr`` of ``round``'s result; and ``repr`` writes an exponent only
+    below 1e-4, hence the lower guard of ``p``, or from 1e16 on.  Outside
+    the guards a number goes through ``round(float(x), n)``, and ``%s``
+    spells the result as ``repr`` does.  A probability of exactly 1
+    is the constant ``"1.0"``; one of exactly 0 needs no rounding, and
+    ``float`` keeps the sign of ``-0.0``.  NaN fails every comparison, so
+    it is tested last.
+
+    ``%s`` spells a non-finite float ``inf`` or ``nan``, where JSON wants
+    ``Infinity`` or ``NaN``.  Only the CI bounds and the numbers that fell
+    back to ``round`` can be non-finite, so each is checked as it is
+    converted, and a line holding one is filled with every argument passed
+    through ``_json_number``.
     """
     fragments = []
     args = [_json_str(request.spec.app)]
+    finite = True
     for r in d.candidates:
         ci = r.ci
         if ci is None:
@@ -783,15 +801,45 @@ def _decision_line(
             args.append(_BOOL[r.blocked])
         else:
             fragments.append(_CANDIDATE)
-            args += (_BOOL[r.blocked], float(ci.lo), float(ci.hi))
+            lo = float(ci.lo)
+            hi = float(ci.hi)
+            # false for NaN too; bounds out of order cost only a refill
+            if not -_INF < lo <= hi < _INF:
+                finite = False
+            args += (_BOOL[r.blocked], lo, hi)
+        mean = r.mean_ms
+        if -1e12 < mean < 1e12:
+            mean = ("%.3f" % mean).rstrip("0")
+            if mean[-1] == ".":
+                mean += "0"
+        else:
+            mean = round(float(mean), 3)
+            if not -_INF < mean < _INF:
+                finite = False
         p = r.p
-        if p != p:
-            p = "null"
-        elif p == 0.0 or p == 1.0:
+        if p == 1.0:
+            p = "1.0"
+        elif 1e-4 <= p < 1e9:
+            p = ("%.6f" % p).rstrip("0")
+            if p[-1] == ".":
+                p += "0"
+        elif p == 0.0:
             p = float(p)
+        elif p != p:
+            p = "null"
         else:
             p = round(float(p), 6)
-        args += (r.fog, r.hops, _BOOL[r.in_f], round(float(r.mean_ms), 3), p)
+            if not -_INF < p < _INF:
+                finite = False
+        args += (r.fog, r.hops, _BOOL[r.in_f], mean, p)
+    if -1e12 < now < 1e12:
+        now = ("%.3f" % now).rstrip("0")
+        if now[-1] == ".":
+            now += "0"
+    else:
+        now = round(float(now), 3)
+        if not -_INF < now < _INF:
+            finite = False
     args += (
         d.chosen,
         _json_str(request.kind),
@@ -801,13 +849,12 @@ def _decision_line(
         _json_str(d.reason),
         request.id,
         stamp,
-        round(float(now), 3),
+        now,
     )
     template = _HEAD + ", ".join(fragments) + _TAIL
-    line = template % tuple(args)
-    if "inf" in line or "nan" in line:
-        line = template % tuple(map(_json_number, args))
-    return line
+    if finite:
+        return template % tuple(args)
+    return template % tuple(map(_json_number, args))
 
 
 def simulate_requests(
@@ -829,6 +876,11 @@ def run(cfg: RunConfig, seed: int, trace_sink=None) -> SimReport:
 
 def aggregate(reports: list[SimReport]) -> list[dict]:
     """Mean and 95% CI half-width per (scenario, method, load) cell.
+
+    The half-width is the normal approximation 1.96 s / sqrt(n), with s
+    the sample standard deviation of the cell's n runs.  At few runs it is
+    narrower than a Student-t interval, whose multiplier is 12.71 at n = 2
+    and 2.045 at n = 30.
 
     Each run counts once: a second report of the same cell and seed is an
     error, not another repetition.

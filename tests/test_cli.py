@@ -921,6 +921,29 @@ def test_python_m_fogfed_cli_lists_suites():
     assert "fig5_partitioning" in out.stdout
 
 
+@pytest.mark.parametrize("command", ["suites", "report"])
+def test_command_into_a_closed_pipe_exits_1_quietly(tmp_path, command):
+    argv = [command]
+    if command == "report":
+        rows = ["s,m,10,0.0,2,%d,0.5,100.0" % seed for seed in (1, 2)]
+        csv_path = tmp_path / "in.csv"
+        csv_path.write_text("\n".join([",".join(CSV_HEADER), *rows]) + "\n")
+        argv += ["--in", str(csv_path)]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "fogfed.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert out.stderr == ""
+
+
 def test_cli_import_needs_only_numpy():
     # one fresh interpreter per module imported first, so an import cycle
     # (partition imports alloc) fails whichever side comes first; the

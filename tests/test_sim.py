@@ -816,6 +816,10 @@ _EDGE_FLOATS = (
     0.0, -0.0, 0.1, 1e-7, 5e-324, 2.2250738585072014e-308, 1e16, 1e22,
     1.7976931348623157e308, -1e300, math.inf, -math.inf, math.nan,
     0.0005, 0.0015, 2.675, 123456.0005,
+    # both sides of the encoder's guards (see _decision_line)
+    1e-4, math.nextafter(1e-4, 0), 9.9999995e-05, 1e9,
+    math.nextafter(1e9, 0), 1e12, math.nextafter(1e12, 0),
+    -math.nextafter(1e12, 0), 999999999999.9995, 5e-7, 1.0000005,
 )
 _trace_floats = st.one_of(st.floats(), st.sampled_from(_EDGE_FLOATS))
 _trace_ints = st.one_of(
@@ -896,6 +900,36 @@ def test_trace_line_edge_values(candidate):
     assert line.isascii() and line.count("\n") == 1
 
 
+def test_trace_numbers_of_seeded_values_equal_json_of_round():
+    rng = np.random.default_rng(25)
+    # finite doubles by bit pattern, over every exponent
+    bits = rng.integers(0, 2**64, size=3000, dtype=np.uint64)
+    doubles = bits.view(np.float64)
+    doubles = doubles[np.isfinite(doubles)].tolist()
+    # decimal ties k/10^n + 5/10^(n+1) for the 3- and 6-decimal roundings,
+    # from below 1e-4 to past 1e12
+    ties = []
+    for n in (3, 6):
+        for digits in range(1, 19):
+            for k in rng.integers(0, 10**digits, size=70).tolist():
+                tie = (10 * k + 5) / 10 ** (n + 1)
+                ties += (tie, -tie)
+    values = doubles + ties
+    values += [np.float64(x) for x in values]
+    assert len(values) >= 10**4
+    request = _trace_request()
+    stamp = _trace_stamp("s", "m", 1)
+    for x in values:
+        ci = CiInterval(x, x, 0.95)
+        d = AllocationDecision(
+            "mr", 0, 0, 0, "local_default", (CandidateRecord(0, 0, x, x, ci),)
+        )
+        ref = reference_record(x, request, d, "s", "m", 1)
+        assert _decision_line(x, request, d, stamp) == (
+            json.dumps(ref, sort_keys=True) + "\n"
+        ), x
+
+
 def _spy_json_number(monkeypatch):
     """Record each argument that the re-spelling of non-finite floats
     passes to ``_json_number``; the calls stay unchanged."""
@@ -935,15 +969,29 @@ def test_trace_line_with_inf_or_nan_in_names_falls_back_exactly(
     monkeypatch, app, scenario, method
 ):
     calls = _spy_json_number(monkeypatch)
+    request = _trace_request(app, 3)
+    stamp = _trace_stamp(scenario, method, 7)
     d = AllocationDecision(
         "mr", 0, 4, 2, "remote_ci_disjoint", _FINITE_CANDIDATES
     )
-    _assert_line_is_reference(
-        1234.5678, _trace_request(app, 3), d, scenario, method, 7
-    )
-    # the line is filled a second time, every argument re-spelled
-    assert calls[0] == json.dumps(app)
-    assert calls[-2:] == [_trace_stamp(scenario, method, 7), 1234.568]
+    _assert_line_is_reference(1234.5678, request, d, scenario, method, 7)
+    # a name is no number: the line is filled once, nothing re-spelled
+    assert calls == []
+
+    # a non-finite CI bound or mean: one fill, every argument re-spelled
+    for odd in (
+        CandidateRecord(3, 1, 9.0, 0.5, CiInterval(-math.inf, 4.0, 0.95)),
+        CandidateRecord(3, 1, math.nan),
+    ):
+        calls.clear()
+        candidates = (*_FINITE_CANDIDATES, odd)
+        d = AllocationDecision("mr", 0, 4, 2, "remote_ci_disjoint", candidates)
+        _assert_line_is_reference(1234.5678, request, d, scenario, method, 7)
+        # app, 6 or 8 fields per candidate (with a CI), then 9 tail fields
+        fields = 1 + sum(6 if r.ci is None else 8 for r in candidates) + 9
+        assert len(calls) == fields
+        assert calls[0] == json.dumps(app)
+        assert calls[-2:] == [stamp, "1234.568"]
 
 
 def test_trace_line_of_numpy_floats(monkeypatch):
@@ -1011,7 +1059,7 @@ def test_fig11_trace_never_falls_back_and_covers_every_candidate_shape(
     assert shapes == {(False,) * k for k in range(1, 6)}
 
     # fig7 at load 40 runs all four allocators: the mean-based baselines'
-    # candidates have no CI, and their lines are never filled a second time
+    # candidates have no CI, and no line passes through _json_number
     fig11_shapes = set(shapes)
     methods.clear()
     doc = {
